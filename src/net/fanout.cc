@@ -33,8 +33,6 @@ NetMetrics::NetMetrics(service::MetricsRegistry* registry) {
   bytes_received = registry->counter("net.bytes_received");
   delta_frames = registry->counter("net.delta_frames");
   full_frames = registry->counter("net.full_frames");
-  delta_rows_sent = registry->counter("net.delta_rows_sent");
-  delta_rows_skipped = registry->counter("net.delta_rows_skipped");
   slow_consumers_shed = registry->counter("net.slow_consumers_shed");
   requests = registry->counter("net.requests");
   request_errors = registry->counter("net.request_errors");
@@ -88,7 +86,7 @@ void SnapshotFanout::Publish(service::SnapshotPtr snapshot) {
     // Signal under mu_: UnregisterWaker serializes on the same mutex,
     // so a waker is never signaled after unregistration returns. The
     // wakers must not take locks that are held while calling into the
-    // fanout (they don't: eventfd write / leaf cv).
+    // fanout (they don't: eventfd write / leaf Wakeup::Notify).
     for (Waker* waker : wakers_) {
       waker->Signal();
       ++ops;
@@ -271,17 +269,6 @@ bool Subscription::Drained() const {
 
 // ---- SubscriberPool ---------------------------------------------------------
 
-void SubscriberPool::PoolWaker::Signal() {
-  // Leaf lock: never held while calling into the fanout (the workers
-  // drop wake_mu_ before touching Latest()), so signaling from inside
-  // SnapshotFanout::Publish cannot deadlock.
-  {
-    std::lock_guard<std::mutex> lock(pool_->wake_mu_);
-    ++pool_->wake_epoch_;
-  }
-  pool_->wake_cv_.notify_all();
-}
-
 SubscriberPool::SubscriberPool(SnapshotFanout* fanout, NetMetrics* metrics)
     : SubscriberPool(fanout, metrics, Options()) {}
 
@@ -290,8 +277,7 @@ SubscriberPool::SubscriberPool(SnapshotFanout* fanout, NetMetrics* metrics,
     : fanout_(fanout),
       metrics_(metrics),
       tracer_(obs::GlobalTracer()),
-      options_(options),
-      waker_(this) {
+      options_(options) {
   const int threads = std::max(1, options_.threads);
   shards_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -303,7 +289,7 @@ SubscriberPool::~SubscriberPool() { Stop(); }
 
 void SubscriberPool::Start() {
   if (!workers_.empty()) return;
-  stop_.store(false, std::memory_order_release);
+  waker_.wake.Reset();
   fanout_->RegisterWaker(&waker_);
   workers_.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -316,8 +302,7 @@ void SubscriberPool::Stop() {
   if (workers_.empty()) return;
   // Unregister first: after this returns no publish will signal us.
   fanout_->UnregisterWaker(&waker_);
-  stop_.store(true, std::memory_order_release);
-  wake_cv_.notify_all();
+  waker_.wake.RequestStop();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -364,18 +349,7 @@ void SubscriberPool::WorkerLoop(int worker_index) {
   Shard* shard = shards_[static_cast<std::size_t>(worker_index)].get();
   std::uint64_t seen_wake = 0;
   std::uint64_t swept_epoch = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    {
-      // Drop wake_mu_ before calling into the fanout: Publish signals
-      // us while holding the fanout mutex (see PoolWaker::Signal).
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               wake_epoch_ != seen_wake;
-      });
-      seen_wake = wake_epoch_;
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
+  while (waker_.wake.Wait(&seen_wake)) {
     // Sweep until we have fanned out the newest snapshot; publishes
     // that land mid-sweep coalesce into the next pass.
     for (;;) {

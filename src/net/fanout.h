@@ -47,7 +47,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -56,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/wakeup.h"
 #include "service/metrics.h"
 #include "service/snapshot.h"
 
@@ -80,8 +80,6 @@ struct NetMetrics {
   service::Counter* bytes_received = nullptr;
   service::Counter* delta_frames = nullptr;
   service::Counter* full_frames = nullptr;
-  service::Counter* delta_rows_sent = nullptr;
-  service::Counter* delta_rows_skipped = nullptr;
   service::Counter* slow_consumers_shed = nullptr;
   service::Counter* requests = nullptr;
   service::Counter* request_errors = nullptr;
@@ -124,7 +122,7 @@ struct NetMetrics {
 class SnapshotFanout {
  public:
   /// One signal target per event loop / worker pool. Signal() must be
-  /// cheap and non-blocking (eventfd write, cv notify).
+  /// cheap and non-blocking (eventfd write, Wakeup::Notify).
   class Waker {
    public:
     virtual ~Waker() = default;
@@ -313,13 +311,11 @@ class SubscriberPool {
     std::vector<std::shared_ptr<Subscription>> subs;
   };
 
-  class PoolWaker : public SnapshotFanout::Waker {
-   public:
-    explicit PoolWaker(SubscriberPool* pool) : pool_(pool) {}
-    void Signal() override;
-
-   private:
-    SubscriberPool* pool_;
+  // Signaled under the fanout mutex; safe, as the Wakeup's mutex is a
+  // leaf lock (no worker holds it while touching Latest()).
+  struct PoolWaker : SnapshotFanout::Waker {
+    void Signal() override { wake.Notify(); }
+    Wakeup wake;  // the workers park on it; Stop() stops it
   };
 
   void WorkerLoop(int worker_index);
@@ -333,10 +329,6 @@ class SubscriberPool {
   const Options options_;
   PoolWaker waker_;
 
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::uint64_t wake_epoch_ = 0;  // guarded by wake_mu_
-  std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> sweeps_{0};
   std::atomic<std::uint64_t> next_shard_{0};
 

@@ -37,11 +37,12 @@ ResilientClient::ResilientClient(std::string host, std::uint16_t port,
 ResilientClient::~ResilientClient() { Stop(); }
 
 void ResilientClient::Stop() {
+  wake_.RequestStop();
   {
+    // Under mu_, so a WaitForSequence() about to block still wakes.
     std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_release);
+    cv_.notify_all();
   }
-  cv_.notify_all();
   if (worker_.joinable()) worker_.join();
 }
 
@@ -59,8 +60,7 @@ bool ResilientClient::WaitForSequence(std::uint64_t min_sequence,
                                       double timeout_s) {
   std::unique_lock<std::mutex> lock(mu_);
   return cv_.wait_for(lock, std::chrono::duration<double>(timeout_s), [&] {
-    return mirror_.sequence() >= min_sequence ||
-           stop_.load(std::memory_order_acquire);
+    return mirror_.sequence() >= min_sequence || wake_.stop_requested();
   }) && mirror_.sequence() >= min_sequence;
 }
 
@@ -78,15 +78,12 @@ bool ResilientClient::SleepBackoff(double* backoff_s) {
       rng_.Uniform(-options_.backoff_jitter, options_.backoff_jitter);
   const double delay = std::max(0.0, *backoff_s * (1.0 + jitter));
   *backoff_s = std::min(*backoff_s * 2.0, options_.backoff_max_s);
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::duration<double>(delay),
-               [&] { return stop_.load(std::memory_order_acquire); });
-  return !stop_.load(std::memory_order_acquire);
+  return wake_.SleepFor(delay);
 }
 
 void ResilientClient::WorkerLoop() {
   double backoff_s = options_.backoff_initial_s;
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (!wake_.stop_requested()) {
     // Chaos hook: a fired net.client.connect_fail counts as a failed
     // dial without ever touching the socket.
     if (options_.fault != nullptr &&
@@ -114,11 +111,9 @@ void ResilientClient::WorkerLoop() {
     connected_.store(true, std::memory_order_release);
     ServeConnection(client->get());
     connected_.store(false, std::memory_order_release);
-    if (stop_.load(std::memory_order_acquire)) break;
+    if (wake_.stop_requested()) break;
     if (!SleepBackoff(&backoff_s)) break;
   }
-  connected_.store(false, std::memory_order_release);
-  cv_.notify_all();
 }
 
 void ResilientClient::ServeConnection(Client* client) {
@@ -141,7 +136,7 @@ void ResilientClient::ServeConnection(Client* client) {
   if (client->view().sequence() > 0) publish();
 
   double last_frame = NowSeconds();
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (!wake_.stop_requested()) {
     auto pushed = client->PumpOne(
         std::min(0.05, std::max(0.001, options_.ping_interval_s / 4.0)));
     if (!pushed.ok()) {

@@ -34,6 +34,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "common/wakeup.h"
 #include "net/client.h"
 
 namespace mqpi::fault {
@@ -125,7 +126,7 @@ class ResilientClient {
   const Options options_;
   Rng rng_;
 
-  std::atomic<bool> stop_{false};
+  Wakeup wake_;  // the worker's backoff sleep and stop flag
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> resubscribes_{0};
@@ -133,6 +134,7 @@ class ResilientClient {
   std::uint64_t connects_total_ = 0;   // worker thread only
   std::uint64_t subscribes_total_ = 0;  // worker thread only
 
+  // WaitForSequence() waits on data, not work or stop: its own cv.
   mutable std::mutex mu_;
   std::condition_variable cv_;
   SnapshotView mirror_;  // guarded by mu_

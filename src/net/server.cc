@@ -143,7 +143,7 @@ Status PiServer::Start() {
   running_.store(true, std::memory_order_release);
 
   // Publish path: ticker -> fanout (pointer swap) -> one eventfd write
-  // for the TCP loop + one cv notify per pool. O(1) in subscribers.
+  // for the TCP loop + one Wakeup::Notify per pool. O(1) in subscribers.
   waker_.event_fd = wake_fd_;
   fanout_.RegisterWaker(&waker_);
   pool_->Start();

@@ -251,7 +251,7 @@ Result<QueryId> PiService::SessionSubmit(std::uint64_t session_id,
     tracer_->Instant("service", "session_submit", id, "session",
                      static_cast<double>(session_id));
   }
-  NotifyWork();
+  ticker_wake_.Notify();
   return id;
 }
 
@@ -288,7 +288,7 @@ Status PiService::SessionSubmitAt(std::uint64_t session_id, SimTime time,
     arrivals_.push(std::move(arrival));
     metrics_.counter("service.scheduled_arrivals")->Increment();
   }
-  NotifyWork();
+  ticker_wake_.Notify();
   return Status::OK();
 }
 
@@ -339,7 +339,9 @@ Status PiService::SessionControl(std::uint64_t session_id, QueryId id,
     }
   }
   // A resume can wake an otherwise-idle (all-blocked) system.
-  if (status.ok() && op == sched::QueryEventKind::kResumed) NotifyWork();
+  if (status.ok() && op == sched::QueryEventKind::kResumed) {
+    ticker_wake_.Notify();
+  }
   return status;
 }
 
@@ -897,19 +899,17 @@ bool PiService::ticking() const {
 }
 
 void PiService::Start() {
-  stop_.store(false, std::memory_order_release);
+  watchdog_wake_.Reset();
   StartTickerThread();
-  if (options_.watchdog.enabled && !watchdog_.joinable()) {
+  if (!watchdog_.joinable()) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
   }
 }
 
 void PiService::Stop() {
-  stop_.store(true, std::memory_order_release);
-  wake_cv_.notify_all();
-  watchdog_cv_.notify_all();
   // Watchdog first: it may be mid-restart, manipulating the ticker
   // thread itself. Once it has exited, the ticker object is ours.
+  watchdog_wake_.RequestStop();
   if (watchdog_.joinable()) watchdog_.join();
   watchdog_ = std::thread();
   StopTickerThread();
@@ -918,7 +918,7 @@ void PiService::Stop() {
 void PiService::StartTickerThread() {
   std::lock_guard<std::mutex> lock(ticker_mu_);
   if (ticker_.joinable()) return;
-  ticker_stop_.store(false, std::memory_order_release);
+  ticker_wake_.Reset();
   ticker_ = std::thread([this] { TickerLoop(); });
   if (options_.pin_cpu >= 0) PinTicker(options_.pin_cpu);
 }
@@ -944,43 +944,27 @@ void PiService::StopTickerThread() {
   std::thread victim;
   {
     std::lock_guard<std::mutex> lock(ticker_mu_);
-    ticker_stop_.store(true, std::memory_order_release);
+    ticker_wake_.RequestStop();
     victim = std::move(ticker_);
     ticker_ = std::thread();
   }
-  wake_cv_.notify_all();
   if (victim.joinable()) victim.join();
-}
-
-void PiService::NotifyWork() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    ++work_epoch_;
-  }
-  wake_cv_.notify_all();
 }
 
 void PiService::TickerLoop() {
   const SimTime quantum = options_.rdbms.quantum;
   auto next_tick = WallClock::now();
-  while (!stop_requested() && !ticker_stop_requested()) {
-    std::uint64_t seen_epoch;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      seen_epoch = work_epoch_;
-    }
+  // The last epoch the idle park saw. It never passes the epoch read
+  // by the idle check below, so a submit racing the park is not lost.
+  std::uint64_t seen = 0;
+  while (!ticker_wake_.stop_requested()) {
     bool idle;
     {
       std::lock_guard<std::mutex> lock(state_mu_);
       idle = IdleLocked();
     }
-    if (idle && options_.pause_when_idle) {
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               ticker_stop_.load(std::memory_order_acquire) ||
-               work_epoch_ != seen_epoch;
-      });
+    if (idle) {
+      ticker_wake_.Wait(&seen);
       // Don't try to "catch up" wall time spent parked.
       next_tick = WallClock::now();
       continue;
@@ -993,13 +977,7 @@ void PiService::TickerLoop() {
         // deaf — no stepping, no publication, and (unlike the idle
         // park) no reaction to work notifications. Only stall expiry,
         // a watchdog kill, or service stop end it.
-        const double stall_s = stall.value > 0.0 ? stall.value : 60.0;
-        std::unique_lock<std::mutex> lock(wake_mu_);
-        wake_cv_.wait_for(
-            lock, std::chrono::duration<double>(stall_s), [&] {
-              return stop_.load(std::memory_order_acquire) ||
-                     ticker_stop_.load(std::memory_order_acquire);
-            });
+        ticker_wake_.SleepFor(stall.value > 0.0 ? stall.value : 60.0);
         next_tick = WallClock::now();
         continue;
       }
@@ -1010,11 +988,7 @@ void PiService::TickerLoop() {
     if (options_.time_scale > 0.0) {
       next_tick += std::chrono::duration_cast<WallClock::duration>(
           std::chrono::duration<double>(quantum / options_.time_scale));
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait_until(lock, next_tick, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               ticker_stop_.load(std::memory_order_acquire);
-      });
+      ticker_wake_.SleepUntil(next_tick);
     }
   }
 }
@@ -1022,14 +996,7 @@ void PiService::TickerLoop() {
 void PiService::WatchdogLoop() {
   const WatchdogOptions& wd = options_.watchdog;
   double backoff_s = wd.backoff_initial_s;
-  const auto interruptible_sleep = [&](double seconds) {
-    std::unique_lock<std::mutex> lock(watchdog_mu_);
-    watchdog_cv_.wait_for(lock, std::chrono::duration<double>(seconds),
-                          [&] { return stop_requested(); });
-  };
-  while (!stop_requested()) {
-    interruptible_sleep(wd.poll_interval_s);
-    if (stop_requested()) break;
+  while (watchdog_wake_.SleepFor(wd.poll_interval_s)) {
     {
       std::lock_guard<std::mutex> lock(ticker_mu_);
       if (!ticker_.joinable()) continue;  // stopped deliberately
@@ -1060,7 +1027,7 @@ void PiService::WatchdogLoop() {
     }
     flight_.Trigger("watchdog_restart");
     StartTickerThread();
-    interruptible_sleep(backoff_s);
+    if (!watchdog_wake_.SleepFor(backoff_s)) break;
     backoff_s = std::min(backoff_s * 2.0, wd.backoff_max_s);
   }
 }
@@ -1153,7 +1120,7 @@ void PiService::SetAdmissionOpen(bool open) {
     AppendEventLocked(event);
     db_->SetAdmissionOpen(open);
   }
-  if (open) NotifyWork();
+  if (open) ticker_wake_.Notify();
 }
 
 }  // namespace mqpi::service

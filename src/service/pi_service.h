@@ -27,8 +27,8 @@
 //
 // Two driving modes:
 //   - ticker mode (`start_ticker` true, the default): a background
-//     thread steps the engine; Start()/Stop() control it. The ticker
-//     parks itself while the system is idle and wakes on submission.
+//     thread steps the engine under a watchdog; Start()/Stop() control
+//     both. The ticker parks while idle and wakes on submission.
 //   - manual mode (`start_ticker` false): no thread; the owner calls
 //     Advance(dt) to step synchronously — deterministic, for shells
 //     and tests.
@@ -36,7 +36,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -50,6 +49,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "common/wakeup.h"
 #include "obs/auditor.h"
 #include "obs/flight_recorder.h"
 #include "obs/tracer.h"
@@ -68,14 +68,13 @@ namespace mqpi::service {
 
 class Session;
 
-/// Watchdog over the ticker thread (ticker mode only): a busy system
-/// whose ticker has published nothing for `stall_threshold_s` wall
-/// seconds is declared stalled; the watchdog kills and restarts the
-/// ticker thread, with capped exponential backoff between successive
+/// Watchdog over the ticker thread, always on in ticker mode: a busy
+/// system whose ticker has published nothing for `stall_threshold_s`
+/// wall seconds is declared stalled; the watchdog kills and restarts
+/// the ticker thread, with capped exponential backoff between successive
 /// restarts so a persistently faulty ticker cannot spin the watchdog.
 /// Every restart increments `service.watchdog_restarts`.
 struct WatchdogOptions {
-  bool enabled = true;
   /// Wall seconds between health checks.
   double poll_interval_s = 0.05;
   /// Busy + no publication for this long (wall seconds) = stalled.
@@ -104,9 +103,6 @@ struct PiServiceOptions {
   double time_scale = 0.0;
   /// false = manual mode: no ticker thread, drive with Advance().
   bool start_ticker = true;
-  /// Ticker parks while nothing is running, queued, or scheduled
-  /// (instead of burning CPU advancing an empty clock).
-  bool pause_when_idle = true;
   /// Closing a session aborts its still-live queries (and drops its
   /// scheduled arrivals either way).
   bool abort_queries_on_session_close = true;
@@ -124,7 +120,7 @@ struct PiServiceOptions {
   /// `service.*` fault points. Null = zero fault machinery on any hot
   /// path beyond a single branch.
   fault::FaultInjector* fault = nullptr;
-  /// Ticker-thread watchdog (ticker mode only; see WatchdogOptions).
+  /// Ticker-thread watchdog tuning (see WatchdogOptions).
   WatchdogOptions watchdog;
   /// Overload shedding: Submit fails with ResourceExhausted when the
   /// admission queue already holds this many queries (0 = unbounded).
@@ -182,9 +178,8 @@ class PiService {
 
   // ---- ticker control -------------------------------------------------------
 
-  /// Starts the ticker (and watchdog, when enabled) if not running
-  /// (no-op in manual mode after the constructor already started it
-  /// per options).
+  /// Starts the ticker and its watchdog if not running (the
+  /// constructor already does in ticker mode).
   void Start();
   /// Stops and joins the ticker and watchdog; queries keep their state
   /// and a final snapshot stays readable. Safe to call with queries
@@ -386,13 +381,7 @@ class PiService {
   void StopTickerThread();
   // Requires ticker_mu_ and a joinable ticker_. Best-effort affinity.
   void PinTicker(int cpu);
-  void NotifyWork();
-  bool stop_requested() const {
-    return stop_.load(std::memory_order_acquire);
-  }
-  bool ticker_stop_requested() const {
-    return ticker_stop_.load(std::memory_order_acquire);
-  }
+  bool stop_requested() const { return watchdog_wake_.stop_requested(); }
 
   const PiServiceOptions options_;
 
@@ -425,22 +414,16 @@ class PiService {
   PublishHook publish_hook_;
   std::atomic<std::chrono::steady_clock::rep> publish_wall_ns_{0};
 
-  // Ticker machinery. `stop_` stops the whole service; `ticker_stop_`
-  // stops only the ticker thread (the watchdog's restart lever).
+  // Thread machinery. `ticker_wake_` counts work notifications; its
+  // stop flag stops only the ticker (the watchdog's restart lever).
+  // `watchdog_wake_`'s stop flag stops the whole service.
   // `ticker_mu_` guards the ticker thread object itself: the watchdog
   // and the owner thread (Start/Stop/Advance/ticking) both touch it.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::uint64_t work_epoch_ = 0;  // guarded by wake_mu_
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> ticker_stop_{false};
+  Wakeup ticker_wake_;
+  Wakeup watchdog_wake_;
   mutable std::mutex ticker_mu_;
-  std::thread ticker_;  // guarded by ticker_mu_
-
-  // Watchdog machinery (thread managed by Start/Stop only).
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  std::thread watchdog_;
+  std::thread ticker_;    // guarded by ticker_mu_
+  std::thread watchdog_;  // managed by Start/Stop only
 
   // Requires state_mu_. Publishes the PI forecast-cache deltas since
   // the last call into the hit/miss counters.

@@ -66,8 +66,7 @@ std::unique_ptr<SteadyState> WarmUp(bench::WorkloadFixture* fixture,
   options.cost_model.noise_sigma = 0.10;
   options.cost_model.noise_seed = rng.Next();
   s->db = std::make_unique<sched::Rdbms>(&fixture->catalog, options);
-  s->pis = std::make_unique<pi::PiManager>(
-      s->db.get(), pi::PiManagerOptions{.sample_interval = 1e12});
+  s->pis = std::make_unique<pi::PiManager>(s->db.get());
 
   // Replacement stream: when a query finishes, the next rank arrives.
   for (int i = 0; i < 60; ++i) {

@@ -66,8 +66,8 @@ int main() {
   options.cost_model.noise_sigma = 0.15;
   sched::Rdbms db(&fixture->catalog, options);
 
-  pi::PiManager pis(&db, {.sample_interval = 10.0});
-  sim::SimulationRunner runner(&db, &pis);
+  pi::PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis, {.sample_interval = 10.0});
 
   std::vector<QueryId> ids;
   for (int i = 0; i < 10; ++i) {
@@ -94,7 +94,7 @@ int main() {
       q = ids[static_cast<std::size_t>(i)];
     }
   }
-  pis.Track(q);
+  runner.Track(q);
 
   runner.RunUntilFinished({q});
   const SimTime finish = db.info(q)->finish_time;
@@ -106,7 +106,7 @@ int main() {
                         "time_s", {"speed_U_per_s"});
   double first_single = kUnknown, first_actual = kUnknown;
   double min_speed = 1e18, max_speed = 0.0;
-  for (const auto& sample : pis.Trace(q)) {
+  for (const auto& sample : runner.Trace(q)) {
     const double actual = finish - sample.time;
     fig3.AddRow(sample.time, {actual, sample.single, sample.multi});
     fig4.AddRow(sample.time, {sample.speed});

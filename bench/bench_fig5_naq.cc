@@ -60,9 +60,10 @@ int main() {
   options.cost_model.noise_sigma = 0.1;
   sched::Rdbms db(&catalog, options);
 
-  pi::PiManager pis(&db, {.sample_interval = 10.0,
-                          .record_queue_blind_variant = true});
-  sim::SimulationRunner runner(&db, &pis);
+  pi::PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis,
+                               {.sample_interval = 10.0,
+                                .record_queue_blind_variant = true});
 
   auto q1 = runner.SubmitNow(engine::QuerySpec::TpcrPartPrice("part_q1"));
   auto q2 = runner.SubmitNow(engine::QuerySpec::TpcrPartPrice("part_q2"));
@@ -70,7 +71,7 @@ int main() {
   check(q1.status());
   check(q2.status());
   check(q3.status());
-  pis.Track(*q1);
+  runner.Track(*q1);
 
   if (db.info(*q3)->state != sched::QueryState::kQueued) {
     std::fprintf(stderr, "expected Q3 to wait in the admission queue\n");
@@ -84,7 +85,7 @@ int main() {
       "Figure 5: remaining execution time estimated over time for Q1",
       "time_s", {"actual_s", "single_query_s", "multi_no_queue_s",
                  "multi_queue_aware_s"});
-  for (const auto& sample : pis.Trace(*q1)) {
+  for (const auto& sample : runner.Trace(*q1)) {
     fig5.AddRow(sample.time, {q1_finish - sample.time, sample.single,
                               sample.multi_no_queue, sample.multi});
   }
@@ -99,7 +100,7 @@ int main() {
   // Quantify estimator quality over Q1's lifetime.
   double err_single = 0.0, err_blind = 0.0, err_aware = 0.0;
   int count = 0;
-  for (const auto& sample : pis.Trace(*q1)) {
+  for (const auto& sample : runner.Trace(*q1)) {
     const double actual = q1_finish - sample.time;
     if (actual <= 0.0 || sample.single >= kInfiniteTime) continue;
     err_single += RelativeError(sample.single, actual);

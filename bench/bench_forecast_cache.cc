@@ -28,6 +28,7 @@
 #include "bench_util.h"
 #include "pi/pi_manager.h"
 #include "sched/rdbms.h"
+#include "sim/runner.h"
 #include "storage/catalog.h"
 
 using namespace mqpi;
@@ -37,7 +38,7 @@ namespace {
 struct RunResult {
   double ms_per_quantum = 0.0;
   std::uint64_t simulations = 0;  // full analytic forecasts run
-  std::vector<std::vector<pi::EstimateSample>> traces;
+  std::vector<std::vector<sim::EstimateSample>> traces;
 };
 
 RunResult RunScenario(int n, int quanta, bool cached) {
@@ -49,12 +50,13 @@ RunResult RunScenario(int n, int quanta, bool cached) {
   sched::Rdbms db(&catalog, options);
 
   pi::PiManagerOptions pm;
-  pm.sample_interval = options.quantum;  // sample every quantum
   pm.multi.enable_forecast_cache = cached;
   // This bench isolates the forecast cache; the incremental engine
   // would bypass it entirely (see bench_incremental_forecast).
   pm.multi.enable_incremental = false;
   pi::PiManager pis(&db, pm);
+  sim::SimulationRunner runner(&db, &pis,
+                               {.sample_interval = options.quantum});
 
   std::vector<QueryId> ids;
   ids.reserve(n);
@@ -67,15 +69,12 @@ RunResult RunScenario(int n, int quanta, bool cached) {
                    id.status().ToString().c_str());
       std::exit(1);
     }
-    pis.Track(*id);
+    runner.Track(*id);
     ids.push_back(*id);
   }
 
   const auto start = std::chrono::steady_clock::now();
-  for (int q = 0; q < quanta; ++q) {
-    db.Step(options.quantum);
-    pis.AfterStep();
-  }
+  for (int q = 0; q < quanta; ++q) runner.StepFor(options.quantum);
   const auto end = std::chrono::steady_clock::now();
 
   RunResult result;
@@ -84,12 +83,12 @@ RunResult RunScenario(int n, int quanta, bool cached) {
       quanta;
   result.simulations = pis.multi()->forecast_cache_misses();
   result.traces.reserve(ids.size());
-  for (QueryId id : ids) result.traces.push_back(pis.Trace(id));
+  for (QueryId id : ids) result.traces.push_back(runner.Trace(id));
   return result;
 }
 
-bool SamplesIdentical(const pi::EstimateSample& a,
-                      const pi::EstimateSample& b) {
+bool SamplesIdentical(const sim::EstimateSample& a,
+                      const sim::EstimateSample& b) {
   return a.time == b.time && a.single == b.single && a.multi == b.multi &&
          a.multi_no_queue == b.multi_no_queue && a.speed == b.speed;
 }

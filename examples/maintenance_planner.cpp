@@ -47,7 +47,7 @@ int main() {
   options.quantum = 0.1;
   options.cost_model.noise_sigma = 0.15;
   sched::Rdbms db(&catalog, options);
-  pi::PiManager pis(&db, {.sample_interval = 1.0});
+  pi::PiManager pis(&db);
   sim::SimulationRunner runner(&db, &pis);
 
   // Submit a mix and let it run for a while so queries are at varied

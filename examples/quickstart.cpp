@@ -40,7 +40,7 @@ int main() {
 
   // 3. Attach progress indicators and submit the paper's query template
   //    over each part table.
-  pi::PiManager pis(&db, {.sample_interval = 2.0});
+  pi::PiManager pis(&db);
   sim::SimulationRunner runner(&db, &pis);
 
   // Queries can be built programmatically (QuerySpec::TpcrPartPrice)

@@ -185,7 +185,9 @@ class MultiQueryPi {
   /// until a measurement exists).
   double estimated_rate() const;
 
-  const FutureWorkloadModel* future_model() const { return future_; }
+  FutureWorkloadModel* future_model() { return future_; }
+
+  const MultiQueryPiOptions& options() const { return options_; }
 
   /// Forecast-cache statistics: a hit is an estimate served from the
   /// memoized forecast, a miss is a full analytic simulation (the

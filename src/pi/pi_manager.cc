@@ -5,28 +5,16 @@
 
 namespace mqpi::pi {
 
-namespace {
-MultiQueryPiOptions QueueBlind(MultiQueryPiOptions options) {
-  options.consider_admission_queue = false;
-  return options;
-}
-}  // namespace
-
 PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
                      FutureWorkloadModel* future)
     : db_(db),
       options_(options),
       tracer_(obs::GlobalTracer()),
       multi_(db, options.multi, future) {
-  if (options_.record_queue_blind_variant) {
-    multi_blind_ =
-        std::make_unique<MultiQueryPi>(db, QueueBlind(options.multi), future);
-  }
   // Lifecycle subscription keeps the incremental engines in O(log n)
   // lockstep with the scheduler (the manager already demands it
   // outlives any stepping of `db`).
   multi_.AttachLifecycleEvents(db);
-  if (multi_blind_) multi_blind_->AttachLifecycleEvents(db);
   if (options_.auto_track) {
     db->AddEventListener([this](const sched::QueryEvent& event) {
       if (event.kind == sched::QueryEventKind::kSubmitted) {
@@ -39,7 +27,6 @@ PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
 void PiManager::Track(QueryId id) {
   singles_.emplace(id, SingleQueryPi(id, options_.single_speed_alpha,
                                      options_.single_speed_window));
-  traces_[id];  // create an empty trace
 }
 
 Result<SimTime> PiManager::EstimateSingle(QueryId id) const {
@@ -51,12 +38,6 @@ Result<SimTime> PiManager::EstimateSingle(QueryId id) const {
 double PiManager::SpeedOf(QueryId id) const {
   auto it = singles_.find(id);
   return it == singles_.end() ? 0.0 : it->second.speed();
-}
-
-const std::vector<EstimateSample>& PiManager::Trace(QueryId id) const {
-  static const std::vector<EstimateSample> kEmpty;
-  auto it = traces_.find(id);
-  return it == traces_.end() ? kEmpty : it->second;
 }
 
 std::vector<PiManager::ProgressRow> PiManager::Report() const {
@@ -92,47 +73,11 @@ void PiManager::AfterStep() {
   span.arg("t", db_->now());
   span.arg("tracked", static_cast<double>(singles_.size()));
   multi_.ObserveStep();
-  if (multi_blind_) multi_blind_->ObserveStep();
 
   const SimTime now = db_->now();
   for (auto& [id, single] : singles_) {
     auto info = db_->info(id);
     if (info.ok()) single.Observe(*info, now);
-  }
-
-  if (now + kTimeEpsilon < next_sample_) return;
-  // Advance from the *scheduled* time, not from `now`: a quantum that
-  // overshoots the grid point would otherwise shift every later sample
-  // by the overshoot, and the drift compounds for the whole run. If the
-  // grid fell more than one interval behind (idle park, coarse quanta),
-  // jump to the next grid point after `now` instead of replaying a
-  // backlog of due samples.
-  do {
-    next_sample_ += options_.sample_interval;
-  } while (next_sample_ <= now + kTimeEpsilon);
-
-  for (auto& [id, trace] : traces_) {
-    auto info = db_->info(id);
-    if (!info.ok()) continue;
-    if (info->state == sched::QueryState::kFinished ||
-        info->state == sched::QueryState::kAborted) {
-      continue;  // trace ends at completion
-    }
-    EstimateSample sample;
-    sample.time = now;
-    const auto& single = singles_.at(id);
-    const SimTime s = single.EstimateRemainingTime();
-    sample.single = s;
-    sample.speed = single.speed();
-    // Batched path: every tracked query probes the same cached
-    // forecast, so the whole sampling loop costs one simulation.
-    auto m = multi_.EstimateRemainingTime(*info);
-    sample.multi = m.ok() ? *m : kUnknown;
-    if (multi_blind_) {
-      auto mb = multi_blind_->EstimateRemainingTime(*info);
-      sample.multi_no_queue = mb.ok() ? *mb : kUnknown;
-    }
-    trace.push_back(sample);
   }
 }
 

@@ -1,14 +1,13 @@
-// PiManager: attaches progress indicators to an Rdbms and records
-// estimate traces over time — the instrumentation behind Figures 3-5
-// and 10 (estimated remaining time / observed speed as functions of
-// time for selected queries).
+// PiManager: the serving progress indicator of one Rdbms — one
+// MultiQueryPi plus a single-query speed EWMA per tracked query. It
+// answers current estimates only; estimate traces over time (Figures
+// 3-5) are recorded by the experiment harness, sim::SimulationRunner.
 //
-// Call AfterStep() once after every Rdbms::Step quantum; it feeds all
-// attached PIs and appends samples at the configured interval.
+// Call AfterStep() once after every Rdbms::Step quantum; it feeds the
+// multi-query PI and every tracked single-query PI.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,25 +22,8 @@ class Tracer;
 
 namespace mqpi::pi {
 
-struct EstimateSample {
-  SimTime time = 0.0;
-  /// Single-query PI estimate (t = c/s).
-  SimTime single = kUnknown;
-  /// Multi-query PI estimate (queue-aware if configured).
-  SimTime multi = kUnknown;
-  /// Multi-query estimate ignoring the admission queue (Figure 5's
-  /// middle curve); kUnknown unless the variant is enabled.
-  SimTime multi_no_queue = kUnknown;
-  /// Smoothed observed execution speed of the query (U/s) — Figure 4.
-  double speed = 0.0;
-};
-
 struct PiManagerOptions {
-  /// Gap between recorded samples (simulated seconds).
-  SimTime sample_interval = 1.0;
-  /// Also maintain a queue-blind multi-query PI for comparison.
-  bool record_queue_blind_variant = false;
-  /// Configuration of the primary multi-query PI.
+  /// Configuration of the multi-query PI.
   MultiQueryPiOptions multi;
   /// Speed-EWMA weight of the single-query PIs.
   double single_speed_alpha = 0.3;
@@ -60,16 +42,13 @@ class PiManager {
   PiManager(sched::Rdbms* db, PiManagerOptions options = {},
             FutureWorkloadModel* future = nullptr);
 
-  /// Starts tracing a query. Idempotent; re-tracking an already
-  /// tracked query keeps its observation history. Samples recorded
-  /// before the first Track() call are simply absent from the trace.
+  /// Starts observing a query's speed for its single-query PI.
+  /// Idempotent; re-tracking an already tracked query keeps its
+  /// observation history.
   void Track(QueryId id);
 
-  /// Feeds PIs and appends due samples; call after every Step quantum.
+  /// Feeds the PIs; call after every Step quantum.
   void AfterStep();
-
-  /// The recorded trace of a tracked query (empty if never sampled).
-  const std::vector<EstimateSample>& Trace(QueryId id) const;
 
   /// Current single-query estimate. Untracked or finished ids are not
   /// an error: they report kUnknown (no observation history), so
@@ -89,10 +68,7 @@ class PiManager {
   MultiQueryPi* multi() { return &multi_; }
   const MultiQueryPi* multi() const { return &multi_; }
 
-  /// Forwards a chaos harness to the primary multi-query PI. The
-  /// queue-blind comparison variant stays un-faulted: a second PI
-  /// drawing from the same fault-point streams would entangle both
-  /// PIs' fire sequences with their evaluation interleaving.
+  /// Forwards a chaos harness to the multi-query PI.
   void SetFaultInjector(fault::FaultInjector* injector) {
     multi_.SetFaultInjector(injector);
   }
@@ -119,10 +95,7 @@ class PiManager {
   PiManagerOptions options_;
   obs::Tracer* tracer_;  // the process-wide tracer, cached
   MultiQueryPi multi_;
-  std::unique_ptr<MultiQueryPi> multi_blind_;
   std::map<QueryId, SingleQueryPi> singles_;
-  std::map<QueryId, std::vector<EstimateSample>> traces_;
-  SimTime next_sample_ = 0.0;
 };
 
 }  // namespace mqpi::pi

@@ -112,21 +112,30 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
   quanta_stepped_ = metrics_.counter("service.quanta_stepped");
   snapshots_published_ = metrics_.counter("service.snapshots_published");
   snapshot_reads_ = metrics_.counter("service.snapshot_reads");
-  forecast_cache_hit_ = metrics_.counter("pi.forecast_cache_hit");
-  forecast_cache_miss_ = metrics_.counter("pi.forecast_cache_miss");
-  incremental_fast_path_ = metrics_.counter("pi.incremental_fast_path");
-  incremental_fallback_ = metrics_.counter("pi.incremental_fallback");
-  incremental_resyncs_ = metrics_.counter("pi.incremental_resyncs");
-  batch_kernel_hits_ = metrics_.counter("pi.batch_kernel_hits");
-  batch_kernel_regens_ = metrics_.counter("pi.batch_kernel_regens");
   stale_snapshots_ = metrics_.counter("service.stale_snapshots");
   watchdog_restarts_ = metrics_.counter("service.watchdog_restarts");
   submits_shed_ = metrics_.counter("service.submits_shed");
   drains_ = metrics_.counter("service.drains");
   pin_misses_ = metrics_.counter("service.ticker_pin_misses");
   degraded_estimates_ = metrics_.counter("pi.degraded_estimates");
-  rate_floor_hits_ = metrics_.counter("pi.rate_floor_hits");
-  corrupt_rate_samples_ = metrics_.counter("pi.corrupt_rate_samples");
+  using Pi = pi::MultiQueryPi;
+  pi_counters_ = {
+      {metrics_.counter("pi.forecast_cache_hit"), &Pi::forecast_cache_hits},
+      {metrics_.counter("pi.forecast_cache_miss"),
+       &Pi::forecast_cache_misses},
+      {metrics_.counter("pi.incremental_fast_path"),
+       &Pi::incremental_fast_path},
+      {metrics_.counter("pi.incremental_fallback"),
+       &Pi::incremental_fallback},
+      {metrics_.counter("pi.incremental_resyncs"), &Pi::incremental_resyncs},
+      {metrics_.counter("pi.batch_kernel_hits"), &Pi::batch_kernel_hits},
+      {metrics_.counter("pi.batch_kernel_regens"), &Pi::batch_kernel_regens},
+      {metrics_.counter("pi.rate_floor_hits"), &Pi::rate_floor_hits},
+      {metrics_.counter("pi.corrupt_rate_samples"),
+       &Pi::corrupt_rate_samples},
+      // The snapshot guard also counts into this one directly.
+      {degraded_estimates_, &Pi::degraded_estimates},
+  };
   uptime_quanta_gauge_ = metrics_.gauge("service.uptime_quanta");
   ticker_age_quanta_gauge_ =
       metrics_.gauge("service.ticker_last_step_age_quanta");
@@ -452,8 +461,7 @@ void PiService::StepAndPublish(SimTime dt) {
       metrics_.gauge("queries.blocked")->Set(snapshot->num_blocked);
       metrics_.gauge("service.sim_time")->Set(snapshot->sim_time);
     }
-    RecordForecastCacheMetricsLocked();
-    RecordDegradationMetricsLocked();
+    SyncPiCountersLocked();
   }
   if (delayed) {
     // Publication is down this quantum: readers keep the previous
@@ -724,49 +732,13 @@ Result<SimTime> PiService::EstimateWhatIf(
   return pis_->multi()->EstimateWhatIf(scenario, target);
 }
 
-void PiService::RecordForecastCacheMetricsLocked() {
-  const std::uint64_t hits = pis_->multi()->forecast_cache_hits();
-  const std::uint64_t misses = pis_->multi()->forecast_cache_misses();
-  if (!MQPI_DCHECK(hits >= seen_cache_hits_ &&
-                   misses >= seen_cache_misses_)) {
-    seen_cache_hits_ = hits;
-    seen_cache_misses_ = misses;
-    return;
-  }
-  forecast_cache_hit_->Increment(hits - seen_cache_hits_);
-  forecast_cache_miss_->Increment(misses - seen_cache_misses_);
-  seen_cache_hits_ = hits;
-  seen_cache_misses_ = misses;
-
-  const auto sync = [](Counter* counter, std::uint64_t total,
-                       std::uint64_t* seen) {
-    if (total > *seen) counter->Increment(total - *seen);
-    *seen = total;
-  };
-  sync(incremental_fast_path_, pis_->multi()->incremental_fast_path(),
-       &seen_incremental_fast_path_);
-  sync(incremental_fallback_, pis_->multi()->incremental_fallback(),
-       &seen_incremental_fallback_);
-  sync(incremental_resyncs_, pis_->multi()->incremental_resyncs(),
-       &seen_incremental_resyncs_);
-  sync(batch_kernel_hits_, pis_->multi()->batch_kernel_hits(),
-       &seen_batch_kernel_hits_);
-  sync(batch_kernel_regens_, pis_->multi()->batch_kernel_regens(),
-       &seen_batch_kernel_regens_);
-}
-
-void PiService::RecordDegradationMetricsLocked() {
+void PiService::SyncPiCountersLocked() {
   const pi::MultiQueryPi* multi = pis_->multi();
-  const auto sync = [](Counter* counter, std::uint64_t total,
-                       std::uint64_t* seen) {
-    if (total > *seen) counter->Increment(total - *seen);
-    *seen = total;
-  };
-  sync(rate_floor_hits_, multi->rate_floor_hits(), &seen_rate_floor_hits_);
-  sync(corrupt_rate_samples_, multi->corrupt_rate_samples(),
-       &seen_corrupt_rate_samples_);
-  sync(degraded_estimates_, multi->degraded_estimates(),
-       &seen_degraded_estimates_);
+  for (PiCounterSync& sync : pi_counters_) {
+    const std::uint64_t total = (multi->*sync.total)();
+    if (total > sync.seen) sync.counter->Increment(total - sync.seen);
+    sync.seen = total;
+  }
   if (fault_ == nullptr) return;
   // Per-point fire counts, labeled by fault-point name. The catalog
   // names are string literals with stable addresses, so the seen-map
@@ -795,7 +767,7 @@ void PiService::PublishNow() {
       AppendEventLocked(event);
     }
     snapshot = BuildSnapshotLocked();
-    RecordForecastCacheMetricsLocked();
+    SyncPiCountersLocked();
   }
   Publish(std::move(snapshot));
 }

@@ -425,51 +425,35 @@ class PiService {
   std::thread ticker_;    // guarded by ticker_mu_
   std::thread watchdog_;  // managed by Start/Stop only
 
-  // Requires state_mu_. Publishes the PI forecast-cache deltas since
-  // the last call into the hit/miss counters.
-  void RecordForecastCacheMetricsLocked();
-  // Requires state_mu_. Publishes PI degradation-counter deltas
-  // (rate-floor clamps, corrupt window samples, degraded estimates)
-  // and per-point fault-fire counts.
-  void RecordDegradationMetricsLocked();
+  // Requires state_mu_. Publishes the deltas since the last call of
+  // every PI total in `pi_counters_` and the per-point fault-fire
+  // counts. Runs after every snapshot build: building estimates moves
+  // these totals (cache traffic, rate-floor clamps, degraded ETAs).
+  void SyncPiCountersLocked();
 
   MetricsRegistry metrics_;
   // Hot-path instruments, resolved once.
   Counter* quanta_stepped_;
   Counter* snapshots_published_;
   Counter* snapshot_reads_;
-  Counter* forecast_cache_hit_;
-  Counter* forecast_cache_miss_;
-  Counter* incremental_fast_path_;
-  Counter* incremental_fallback_;
-  Counter* incremental_resyncs_;
-  Counter* batch_kernel_hits_;
-  Counter* batch_kernel_regens_;
   Counter* stale_snapshots_;
   Counter* watchdog_restarts_;
   Counter* submits_shed_;
   Counter* drains_;
   Counter* pin_misses_;
   Counter* degraded_estimates_;
-  Counter* rate_floor_hits_;
-  Counter* corrupt_rate_samples_;
   Gauge* uptime_quanta_gauge_;
   Gauge* ticker_age_quanta_gauge_;
   Histogram* step_wall_ms_;
   Histogram* snapshot_age_ms_;
-  // Last PI cache totals already published (guarded by state_mu_).
-  std::uint64_t seen_cache_hits_ = 0;
-  std::uint64_t seen_cache_misses_ = 0;
-  // Last PI incremental-engine totals already published (state_mu_).
-  std::uint64_t seen_incremental_fast_path_ = 0;
-  std::uint64_t seen_incremental_fallback_ = 0;
-  std::uint64_t seen_incremental_resyncs_ = 0;
-  std::uint64_t seen_batch_kernel_hits_ = 0;
-  std::uint64_t seen_batch_kernel_regens_ = 0;
-  // Last PI degradation totals already published (guarded by state_mu_).
-  std::uint64_t seen_rate_floor_hits_ = 0;
-  std::uint64_t seen_corrupt_rate_samples_ = 0;
-  std::uint64_t seen_degraded_estimates_ = 0;
+  // One MultiQueryPi running total mirrored into a registry counter,
+  // with the last total already published (guarded by state_mu_).
+  struct PiCounterSync {
+    Counter* counter;
+    std::uint64_t (pi::MultiQueryPi::*total)() const;
+    std::uint64_t seen = 0;
+  };
+  std::vector<PiCounterSync> pi_counters_;
   // Last per-fault-point fire totals already published (state_mu_).
   std::unordered_map<const void*, std::uint64_t> seen_fault_fires_;
 

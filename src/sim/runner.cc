@@ -4,8 +4,17 @@
 
 namespace mqpi::sim {
 
-SimulationRunner::SimulationRunner(sched::Rdbms* db, pi::PiManager* pis)
-    : db_(db), pis_(pis) {}
+SimulationRunner::SimulationRunner(sched::Rdbms* db, pi::PiManager* pis,
+                                   RecordingOptions recording)
+    : db_(db), pis_(pis), recording_(recording) {
+  if (pis_ != nullptr && recording_.record_queue_blind_variant) {
+    pi::MultiQueryPiOptions blind = pis_->multi()->options();
+    blind.consider_admission_queue = false;
+    multi_blind_ = std::make_unique<pi::MultiQueryPi>(
+        db, blind, pis_->multi()->future_model());
+    multi_blind_->AttachLifecycleEvents(db);
+  }
+}
 
 void SimulationRunner::ScheduleArrival(SimTime time, engine::QuerySpec spec,
                                        Priority priority) {
@@ -41,10 +50,63 @@ void SimulationRunner::StepFor(SimTime dt) {
     SubmitDueArrivals();
     const SimTime step = std::min(remaining, quantum);
     db_->Step(step);
-    if (pis_ != nullptr) pis_->AfterStep();
+    if (pis_ != nullptr) AfterStep();
     remaining -= step;
   }
   SubmitDueArrivals();
+}
+
+void SimulationRunner::Track(QueryId id) {
+  pis_->Track(id);
+  traces_[id];  // create an empty trace
+}
+
+const std::vector<EstimateSample>& SimulationRunner::Trace(QueryId id) const {
+  static const std::vector<EstimateSample> kEmpty;
+  auto it = traces_.find(id);
+  return it == traces_.end() ? kEmpty : it->second;
+}
+
+void SimulationRunner::AfterStep() {
+  pis_->AfterStep();
+  // The blind PI must observe every quantum, not only sampled ones: its
+  // rate window accumulates per-quantum consumption.
+  if (multi_blind_) multi_blind_->ObserveStep();
+
+  const SimTime now = db_->now();
+  if (now + kTimeEpsilon < next_sample_) return;
+  // Advance from the *scheduled* time, not from `now`: a quantum that
+  // overshoots the grid point would otherwise shift every later sample
+  // by the overshoot, and the drift compounds for the whole run. If the
+  // grid fell more than one interval behind (coarse quanta), jump to
+  // the next grid point after `now` instead of replaying a backlog of
+  // due samples.
+  do {
+    next_sample_ += recording_.sample_interval;
+  } while (next_sample_ <= now + kTimeEpsilon);
+
+  for (auto& [id, trace] : traces_) {
+    auto info = db_->info(id);
+    if (!info.ok()) continue;
+    if (info->state == sched::QueryState::kFinished ||
+        info->state == sched::QueryState::kAborted) {
+      continue;  // trace ends at completion
+    }
+    EstimateSample sample;
+    sample.time = now;
+    const auto single = pis_->EstimateSingle(id);
+    sample.single = single.ok() ? *single : kUnknown;
+    sample.speed = pis_->SpeedOf(id);
+    // Batched path: every tracked query probes the same cached
+    // forecast, so the whole sampling loop costs one simulation.
+    auto m = pis_->multi()->EstimateRemainingTime(*info);
+    sample.multi = m.ok() ? *m : kUnknown;
+    if (multi_blind_) {
+      auto mb = multi_blind_->EstimateRemainingTime(*info);
+      sample.multi_no_queue = mb.ok() ? *mb : kUnknown;
+    }
+    trace.push_back(sample);
+  }
 }
 
 bool SimulationRunner::AllTerminal(const std::vector<QueryId>& ids) const {

@@ -457,6 +457,32 @@ TEST(ServiceDegradationTest, AbsurdEstimateDegradesToLastKnownGood) {
             0u);
 }
 
+TEST(ServiceDegradationTest, PublishNowPublishesPiCounterDeltas) {
+  // A manual-mode publish builds a snapshot, and building estimates on
+  // a collapsed rate counts rate-floor clamps. Those deltas must reach
+  // the registry with that publish, not wait for a next step that a
+  // manual-mode caller may never take.
+  storage::Catalog catalog;
+  FaultInjector injector;
+  auto options = ManualServiceOptions();
+  options.fault = &injector;
+  options.pi.multi.rate_window = options.rdbms.quantum;
+  service::PiService service(&catalog, options);
+  auto session = service.OpenSession();
+  ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(1e6)).ok());
+  injector.ArmProbability(fault::kSchedRateCollapse, 1.0, 1e-9);
+  ASSERT_TRUE(service.Advance(0.5).ok());
+
+  service::Counter* floor_hits =
+      service.metrics()->counter("pi.rate_floor_hits");
+  const std::uint64_t before = floor_hits->value();
+  ASSERT_GT(before, 0u);
+  const SimTime now = service.snapshot()->sim_time;
+  service.PublishNow();
+  EXPECT_EQ(service.snapshot()->sim_time, now);  // no step was taken
+  EXPECT_GT(floor_hits->value(), before);
+}
+
 TEST(ServiceWatchdogTest, RestartsAStalledTickerAndDrains) {
   storage::Catalog catalog;
   FaultInjector injector;

@@ -6,6 +6,7 @@
 
 #include "pi/pi_manager.h"
 #include "sched/rdbms.h"
+#include "sim/runner.h"
 #include "storage/tpcr_gen.h"
 #include "workload/arrival_schedule.h"
 
@@ -72,19 +73,18 @@ TEST(AutoTrackTest, TracksSubmissionsAutomatically) {
   options.processing_rate = 100.0;
   options.quantum = 0.1;
   sched::Rdbms db(&catalog, options);
-  pi::PiManager pis(&db, {.sample_interval = 0.5,
+  pi::PiManager pis(&db, {.multi = {},
                           .single_speed_window = 0.5,
                           .auto_track = true});
+  sim::SimulationRunner runner(&db, &pis);
   auto a = db.Submit(QuerySpec::Synthetic(200.0));
   auto b = db.Submit(QuerySpec::Synthetic(200.0));
   ASSERT_TRUE(b.ok());
-  for (int i = 0; i < 15; ++i) {
-    db.Step(options.quantum);
-    pis.AfterStep();
-  }
-  // Both queries were tracked without explicit Track() calls.
-  EXPECT_FALSE(pis.Trace(*a).empty());
-  EXPECT_FALSE(pis.Trace(*b).empty());
+  for (int i = 0; i < 15; ++i) runner.StepFor(options.quantum);
+  // Both queries were tracked without explicit Track() calls: their
+  // single-query PIs observed a speed.
+  EXPECT_GT(pis.SpeedOf(*a), 0.0);
+  EXPECT_GT(pis.SpeedOf(*b), 0.0);
   EXPECT_TRUE(pis.EstimateSingle(*a).ok());
   EXPECT_LT(*pis.EstimateSingle(*a), kInfiniteTime);
 }

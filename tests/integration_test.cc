@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "pi/pi_manager.h"
@@ -61,8 +62,8 @@ TEST_F(IntegrationTest, McqMultiBeatsSingleOnSharedWorkload) {
   // MCQ miniature: the multi-query PI's average trace error for the
   // largest query must beat the single-query PI's by a wide margin.
   sched::Rdbms db(&fixture_->catalog, Options(300.0));
-  pi::PiManager pis(&db, {.sample_interval = 2.0});
-  sim::SimulationRunner runner(&db, &pis);
+  pi::PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis, {.sample_interval = 2.0});
   Rng rng(1);
   std::vector<QueryId> ids;
   QueryId big = kInvalidQueryId;
@@ -72,13 +73,13 @@ TEST_F(IntegrationTest, McqMultiBeatsSingleOnSharedWorkload) {
     ASSERT_TRUE(id.ok());
     if (i == 0) big = *id;
     ids.push_back(*id);
-    pis.Track(*id);
+    runner.Track(*id);
   }
   runner.RunUntilFinished(ids);
   const SimTime finish = db.info(big)->finish_time;
   double single_err = 0.0, multi_err = 0.0;
   int count = 0;
-  for (const auto& sample : pis.Trace(big)) {
+  for (const auto& sample : runner.Trace(big)) {
     const double actual = finish - sample.time;
     if (actual <= 1.0 || sample.single >= kInfiniteTime) continue;
     single_err += RelativeError(sample.single, actual);
@@ -96,14 +97,15 @@ TEST_F(IntegrationTest, NaqQueueAwareSeesFurther) {
   auto options = Options(200.0);
   options.max_concurrent = 2;
   sched::Rdbms db(&fixture_->catalog, options);
-  pi::PiManager pis(&db, {.sample_interval = 2.0,
-                          .record_queue_blind_variant = true});
-  sim::SimulationRunner runner(&db, &pis);
+  pi::PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis,
+                               {.sample_interval = 2.0,
+                                .record_queue_blind_variant = true});
   auto q1 = runner.SubmitNow(fixture_->workload->SpecForRank(8));
   auto q2 = runner.SubmitNow(fixture_->workload->SpecForRank(2));
   auto q3 = runner.SubmitNow(fixture_->workload->SpecForRank(4));
   ASSERT_TRUE(q3.ok());
-  pis.Track(*q1);
+  runner.Track(*q1);
   EXPECT_EQ(db.info(*q3)->state, sched::QueryState::kQueued);
   runner.RunUntilFinished({*q1, *q2, *q3});
   const SimTime finish = db.info(*q1)->finish_time;
@@ -112,7 +114,7 @@ TEST_F(IntegrationTest, NaqQueueAwareSeesFurther) {
   const SimTime q3_start = db.info(*q3)->start_time;
   double aware = 0.0, blind = 0.0;
   int count = 0;
-  for (const auto& sample : pis.Trace(*q1)) {
+  for (const auto& sample : runner.Trace(*q1)) {
     if (sample.time >= q3_start) break;
     const double actual = finish - sample.time;
     aware += RelativeError(sample.multi, actual);
@@ -122,6 +124,40 @@ TEST_F(IntegrationTest, NaqQueueAwareSeesFurther) {
   ASSERT_GT(count, 2);
   EXPECT_LT(aware, blind)
       << "aware=" << aware / count << " blind=" << blind / count;
+}
+
+TEST_F(IntegrationTest, QueueBlindVariantMatchesAwareOnceQueueDrains) {
+  // NAQ miniature sampled far more coarsely than it steps. Once the
+  // admission queue is empty the two multi-query PIs model the same
+  // load, so they agree — but only if the blind PI measured the rate
+  // over every quantum, not just the sampled ones (operators overshoot
+  // their budget, so per-quantum consumption varies).
+  auto options = Options(200.0);
+  options.max_concurrent = 2;
+  sched::Rdbms db(&fixture_->catalog, options);
+  pi::PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis,
+                               {.sample_interval = 25 * options.quantum,
+                                .record_queue_blind_variant = true});
+  auto q1 = runner.SubmitNow(fixture_->workload->SpecForRank(8));
+  auto q2 = runner.SubmitNow(fixture_->workload->SpecForRank(2));
+  auto q3 = runner.SubmitNow(fixture_->workload->SpecForRank(4));
+  ASSERT_TRUE(q3.ok());
+  runner.Track(*q1);
+  ASSERT_EQ(db.info(*q3)->state, sched::QueryState::kQueued);
+  runner.RunUntilFinished({*q1, *q2, *q3});
+
+  const SimTime q3_start = db.info(*q3)->start_time;
+  int compared = 0;
+  for (const auto& sample : runner.Trace(*q1)) {
+    if (sample.time < q3_start) continue;  // queue not yet drained
+    ASSERT_NE(sample.multi, kUnknown);
+    EXPECT_NEAR(sample.multi_no_queue, sample.multi,
+                1e-9 * std::abs(sample.multi))
+        << "at t=" << sample.time;
+    ++compared;
+  }
+  EXPECT_GE(compared, 3);
 }
 
 TEST_F(IntegrationTest, ScqArrivalsSlowEverythingAndPiSeesIt) {
@@ -187,7 +223,7 @@ TEST_F(IntegrationTest, MaintenanceMultiPiBeatsSinglePi) {
       wlm::MaintenanceMethod::kSinglePi, wlm::MaintenanceMethod::kMultiPi};
   for (int m = 0; m < 2; ++m) {
     auto db = make_db();
-    pi::PiManager pis(db.get(), {.sample_interval = 1e12});
+    pi::PiManager pis(db.get());
     std::vector<QueryId> ids;
     warm(db.get(), &pis, &ids);
     wlm::WlmAdvisor advisor(db.get());

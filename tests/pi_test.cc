@@ -231,8 +231,8 @@ TEST(MultiQueryPiTest, EstimateTracksActualOverLife) {
   // remaining time. Clean assumptions -> error stays tiny.
   storage::Catalog catalog;
   sched::Rdbms db(&catalog, CleanOptions());
-  pi::PiManager pis(&db, {.sample_interval = 1.0});
-  sim::SimulationRunner runner(&db, &pis);
+  pi::PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis, {.sample_interval = 1.0});
   std::vector<QueryId> ids;
   for (int i = 1; i <= 10; ++i) {
     auto id = runner.SubmitNow(QuerySpec::Synthetic(60.0 * i));
@@ -240,12 +240,12 @@ TEST(MultiQueryPiTest, EstimateTracksActualOverLife) {
     ids.push_back(*id);
   }
   const QueryId longest = ids.back();
-  pis.Track(longest);
+  runner.Track(longest);
   runner.RunUntilIdle();
   const SimTime finish = db.info(longest)->finish_time;
   ASSERT_GT(finish, 10.0);
   int checked = 0;
-  for (const auto& sample : pis.Trace(longest)) {
+  for (const auto& sample : runner.Trace(longest)) {
     const SimTime actual = finish - sample.time;
     ASSERT_NE(sample.multi, kUnknown);
     EXPECT_NEAR(sample.multi, actual, 0.05 * actual + 0.5)
@@ -255,18 +255,18 @@ TEST(MultiQueryPiTest, EstimateTracksActualOverLife) {
   EXPECT_GT(checked, 10);
 }
 
-// ---- PiManager -------------------------------------------------------------------
+// ---- PiManager and trace recording (sim::SimulationRunner) -----------------------
 
 TEST(PiManagerTest, TracksTracesAtInterval) {
   storage::Catalog catalog;
   sched::Rdbms db(&catalog, CleanOptions());
-  PiManager pis(&db, {.sample_interval = 0.5});
-  sim::SimulationRunner runner(&db, &pis);
+  PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis, {.sample_interval = 0.5});
   auto id = runner.SubmitNow(QuerySpec::Synthetic(200.0));
   ASSERT_TRUE(id.ok());
-  pis.Track(*id);
+  runner.Track(*id);
   runner.StepFor(1.0);
-  const auto& trace = pis.Trace(*id);
+  const auto& trace = runner.Trace(*id);
   ASSERT_GE(trace.size(), 2u);
   EXPECT_LE(trace.front().time, 0.5 + 1e-9);
   // Single and multi estimates populated.
@@ -278,7 +278,18 @@ TEST(PiManagerTest, UntrackedQueryHasEmptyTrace) {
   storage::Catalog catalog;
   sched::Rdbms db(&catalog, CleanOptions());
   PiManager pis(&db);
-  EXPECT_TRUE(pis.Trace(77).empty());
+  sim::SimulationRunner runner(&db, &pis);
+  auto id = runner.SubmitNow(QuerySpec::Synthetic(200.0));
+  ASSERT_TRUE(id.ok());
+  runner.StepFor(1.0);  // a sample is due, but nothing is tracked
+  EXPECT_TRUE(runner.Trace(*id).empty());
+  EXPECT_TRUE(runner.Trace(77).empty());
+}
+
+TEST(PiManagerTest, UntrackedQueryReportsUnknown) {
+  storage::Catalog catalog;
+  sched::Rdbms db(&catalog, CleanOptions());
+  PiManager pis(&db);
   // Untracked ids are not an error — they report "unknown" so callers
   // need no Track()-before-sample ordering (service sessions poll
   // arbitrary ids).
@@ -293,15 +304,16 @@ TEST(PiManagerTest, QueueBlindVariantRecorded) {
   auto options = CleanOptions();
   options.max_concurrent = 1;
   sched::Rdbms db(&catalog, options);
-  PiManager pis(&db, {.sample_interval = 0.5,
-                      .record_queue_blind_variant = true});
-  sim::SimulationRunner runner(&db, &pis);
+  PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis,
+                               {.sample_interval = 0.5,
+                                .record_queue_blind_variant = true});
   auto a = runner.SubmitNow(QuerySpec::Synthetic(100.0));
   auto b = runner.SubmitNow(QuerySpec::Synthetic(100.0));
   ASSERT_TRUE(b.ok());
-  pis.Track(*a);
+  runner.Track(*a);
   runner.StepFor(0.6);
-  const auto& trace = pis.Trace(*a);
+  const auto& trace = runner.Trace(*a);
   ASSERT_FALSE(trace.empty());
   // Queue-blind estimate exists and (for the running query a) matches
   // the aware one since the queue only affects b's own estimate.
@@ -314,18 +326,18 @@ TEST(PiManagerTest, SingleVsMultiOnSharedWorkload) {
   // estimate must be far closer to the actual remaining time.
   storage::Catalog catalog;
   sched::Rdbms db(&catalog, CleanOptions());
-  PiManager pis(&db, {.sample_interval = 1.0});
-  sim::SimulationRunner runner(&db, &pis);
+  PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis, {.sample_interval = 1.0});
   auto a = runner.SubmitNow(QuerySpec::Synthetic(100.0));
   auto b = runner.SubmitNow(QuerySpec::Synthetic(200.0));
   auto c = runner.SubmitNow(QuerySpec::Synthetic(600.0));
   ASSERT_TRUE(c.ok());
   (void)a;
   (void)b;
-  pis.Track(*c);
+  runner.Track(*c);
   runner.RunUntilIdle();
   const SimTime finish = db.info(*c)->finish_time;
-  const auto& trace = pis.Trace(*c);
+  const auto& trace = runner.Trace(*c);
   ASSERT_FALSE(trace.empty());
   const auto& first = trace.front();
   const double actual = finish - first.time;
@@ -346,13 +358,13 @@ TEST(PiManagerTest, SampleGridSurvivesQuantumOvershoot) {
   auto options = CleanOptions();
   options.quantum = 0.3;
   sched::Rdbms db(&catalog, options);
-  PiManager pis(&db, {.sample_interval = 1.0});
-  sim::SimulationRunner runner(&db, &pis);
+  PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis, {.sample_interval = 1.0});
   auto id = runner.SubmitNow(QuerySpec::Synthetic(2000.0));
   ASSERT_TRUE(id.ok());
-  pis.Track(*id);
+  runner.Track(*id);
   runner.StepFor(9.9);  // 33 quanta, grid points 0..9 all pass
-  const auto& trace = pis.Trace(*id);
+  const auto& trace = runner.Trace(*id);
   ASSERT_EQ(trace.size(), 10u);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const SimTime offset = trace[i].time - static_cast<SimTime>(i) * 1.0;
@@ -510,14 +522,14 @@ TEST(PiManagerTest, OneForecastPerQuantumWhenSampling) {
   auto options = CleanOptions();
   sched::Rdbms db(&catalog, options);
   PiManagerOptions pm_options;
-  pm_options.sample_interval = options.quantum;
   pm_options.multi.enable_incremental = false;
   PiManager pis(&db, pm_options);
-  sim::SimulationRunner runner(&db, &pis);
+  sim::SimulationRunner runner(&db, &pis,
+                               {.sample_interval = options.quantum});
   for (int i = 0; i < 20; ++i) {
     auto id = runner.SubmitNow(QuerySpec::Synthetic(1000.0));
     ASSERT_TRUE(id.ok());
-    pis.Track(*id);
+    runner.Track(*id);
   }
   runner.StepFor(0.5);  // 10 quanta, each samples all 20 queries
   const MultiQueryPi* multi = pis.multi();
@@ -539,12 +551,13 @@ TEST(PiManagerTest, SteadyStateSamplingNeedsNoSimulationAtAll) {
   storage::Catalog catalog;
   auto options = CleanOptions();
   sched::Rdbms db(&catalog, options);
-  PiManager pis(&db, {.sample_interval = options.quantum});
-  sim::SimulationRunner runner(&db, &pis);
+  PiManager pis(&db);
+  sim::SimulationRunner runner(&db, &pis,
+                               {.sample_interval = options.quantum});
   for (int i = 0; i < 20; ++i) {
     auto id = runner.SubmitNow(QuerySpec::Synthetic(1000.0));
     ASSERT_TRUE(id.ok());
-    pis.Track(*id);
+    runner.Track(*id);
   }
   runner.StepFor(0.5);  // 10 quanta, each samples all 20 queries
   const MultiQueryPi* multi = pis.multi();

@@ -139,8 +139,7 @@ TEST_F(EventTraceTest, EventsOrderedByTime) {
 TEST_F(EventTraceTest, ProgressReportRows) {
   options_.max_concurrent = 2;
   sched::Rdbms db(&catalog_, options_);
-  pi::PiManager pis(&db, {.sample_interval = 0.5,
-                          .single_speed_window = 0.5});
+  pi::PiManager pis(&db, {.multi = {}, .single_speed_window = 0.5});
   auto a = db.Submit(QuerySpec::Synthetic(100.0));
   auto b = db.Submit(QuerySpec::Synthetic(400.0));
   auto c = db.Submit(QuerySpec::Synthetic(100.0));  // queued

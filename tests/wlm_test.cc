@@ -522,7 +522,7 @@ TEST_F(AdvisorTest, SinglePiMaintenanceOverAborts) {
   // Five equal queries sharing C: each runs at C/5, so the single-query
   // PI thinks each needs 5x its solo time and aborts queries that would
   // in fact have finished.
-  pi::PiManager pis(db_.get(), {.sample_interval = 10.0});
+  pi::PiManager pis(db_.get());
   std::vector<QueryId> ids;
   for (int i = 0; i < 5; ++i) {
     auto id = db_->Submit(QuerySpec::Synthetic(100.0));

@@ -8,8 +8,8 @@
 // arrays (SIMD where the CPU has it). This bench measures ns/query
 // for both in the steady state (progress-only quanta: the SoA mirror
 // is regenerated once and then only the scalar offset moves),
-// cross-checks agreement, and writes BENCH_batch_estimate.json next
-// to the binary.
+// cross-checks agreement, and writes BENCH_batch_estimate.json in the
+// working directory.
 //
 // Modes:
 //   bench_batch_estimate               full comparison at
@@ -26,7 +26,6 @@
 //                                      (relative, no absolute
 //                                      wall-clock thresholds)
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -71,14 +70,13 @@ double RunTreapLoop(pi::IncrementalForecast* engine, int reps,
   double total_ns = 0.0;
   for (int r = 0; r < reps; ++r) {
     engine->Advance(kQuantumDx);
-    const auto start = std::chrono::steady_clock::now();
+    const std::int64_t start = bench::NowNs();
     for (std::size_t i = 0; i < n; ++i) {
       auto eta = engine->RemainingTime(static_cast<QueryId>(i + 1), kRate);
       if (!eta.ok()) std::exit(1);
       (*last)[i] = *eta;
     }
-    const auto end = std::chrono::steady_clock::now();
-    total_ns += std::chrono::duration<double, std::nano>(end - start).count();
+    total_ns += static_cast<double>(bench::NowNs() - start);
   }
   return total_ns / (static_cast<double>(reps) * static_cast<double>(n));
 }
@@ -91,11 +89,10 @@ double RunBatch(pi::IncrementalForecast* engine,
   double total_ns = 0.0;
   for (int r = 0; r < reps; ++r) {
     engine->Advance(kQuantumDx);
-    const auto start = std::chrono::steady_clock::now();
+    const std::int64_t start = bench::NowNs();
     const auto batch = kernel->EstimateAll(*engine, kRate);
-    const auto end = std::chrono::steady_clock::now();
+    total_ns += static_cast<double>(bench::NowNs() - start);
     if (batch.size != n) std::exit(1);
-    total_ns += std::chrono::duration<double, std::nano>(end - start).count();
     for (std::size_t i = 0; i < n; ++i) {
       (*last)[i] = batch.etas[i];  // ids are 1..n, already id-sorted
     }
@@ -103,14 +100,18 @@ double RunBatch(pi::IncrementalForecast* engine,
   return total_ns / (static_cast<double>(reps) * static_cast<double>(n));
 }
 
-// Treap and kernel, probed at the same offset, must agree to the
+// Probes the kernel once more, one kQuantumDx past the last timed
+// run, and the treap at that same offset: the two must agree to the
 // engine tolerance (summation order and FMA contraction differ).
-bool Agree(const std::vector<double>& treap,
-           const std::vector<double>& batch) {
-  if (treap.size() != batch.size()) return false;
-  for (std::size_t i = 0; i < treap.size(); ++i) {
-    const double tol = 1e-9 * std::max(1.0, std::fabs(treap[i]));
-    if (std::fabs(treap[i] - batch[i]) > tol) return false;
+bool AgreeNow(pi::IncrementalForecast* engine,
+              pi::BatchEstimateKernel* kernel) {
+  std::vector<double> batch;
+  RunBatch(engine, kernel, 1, &batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    auto eta = engine->RemainingTime(static_cast<QueryId>(i + 1), kRate);
+    if (!eta.ok()) std::exit(1);
+    const double tol = 1e-9 * std::max(1.0, std::fabs(*eta));
+    if (std::fabs(*eta - batch[i]) > tol) return false;
   }
   return true;
 }
@@ -137,17 +138,7 @@ int Perfsmoke() {
   }
   std::vector<double> treap_last;
   const double treap_ns = RunTreapLoop(engine.get(), reps, &treap_last);
-  // The treap ran after the batch, one kQuantumDx further along; probe
-  // the kernel once more at the same offset for the agreement check.
-  std::vector<double> batch_now;
-  RunBatch(engine.get(), &kernel, 1, &batch_now);
-  treap_last.clear();
-  for (int i = 0; i < n; ++i) {
-    auto eta = engine->RemainingTime(static_cast<QueryId>(i + 1), kRate);
-    if (!eta.ok()) return 1;
-    treap_last.push_back(*eta);
-  }
-  if (!Agree(treap_last, batch_now)) {
+  if (!AgreeNow(engine.get(), &kernel)) {
     std::fprintf(stderr, "perfsmoke FAIL: treap and batch disagree\n");
     return 1;
   }
@@ -188,23 +179,15 @@ int main(int argc, char** argv) {
   };
   const Scale scales[] = {{100, 2000}, {5000, 200}, {50000, 20}};
 
-  std::FILE* json = std::fopen("BENCH_batch_estimate.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_batch_estimate.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"batch_estimate\",\n"
-               "  \"unit\": \"ns_per_query\",\n  \"isa\": \"%s\",\n"
-               "  \"results\": [\n",
-               pi::BatchEstimateKernel::ActiveIsaName());
+  bench::JsonReport report(
+      "batch_estimate", {{"unit", "ns_per_query"},
+                         {"isa", pi::BatchEstimateKernel::ActiveIsaName()}});
 
   std::printf("dispatch: %s\n\n", pi::BatchEstimateKernel::ActiveIsaName());
   std::printf("%8s %16s %16s %9s %8s %8s\n", "n", "treap ns/query",
               "batch ns/query", "speedup", "regens", "sweeps");
   bool ok = true;
-  for (std::size_t s = 0; s < std::size(scales); ++s) {
-    const Scale& scale = scales[s];
+  for (const Scale& scale : scales) {
     auto engine = MakeEngine(scale.n);
     pi::BatchEstimateKernel kernel;
     std::vector<double> treap_last, batch_last;
@@ -212,17 +195,7 @@ int main(int argc, char** argv) {
         RunBatch(engine.get(), &kernel, scale.reps, &batch_last);
     const double treap_ns =
         RunTreapLoop(engine.get(), scale.reps, &treap_last);
-    // Re-probe the kernel at the treap loop's final offset so both
-    // vectors describe the same instant.
-    std::vector<double> batch_now;
-    RunBatch(engine.get(), &kernel, 1, &batch_now);
-    treap_last.clear();
-    for (int i = 0; i < scale.n; ++i) {
-      auto eta = engine->RemainingTime(static_cast<QueryId>(i + 1), kRate);
-      if (!eta.ok()) return 1;
-      treap_last.push_back(*eta);
-    }
-    if (!Agree(treap_last, batch_now)) {
+    if (!AgreeNow(engine.get(), &kernel)) {
       std::fprintf(stderr, "FAIL: treap and batch diverge at n=%d\n",
                    scale.n);
       ok = false;
@@ -240,11 +213,8 @@ int main(int argc, char** argv) {
                 batch_ns, speedup,
                 static_cast<unsigned long long>(kernel.regens()),
                 static_cast<unsigned long long>(kernel.hits()));
-    std::fprintf(json,
-                 "    {\"n\": %d, \"treap_ns\": %.2f, \"batch_ns\": %.2f, "
-                 "\"speedup\": %.1f}%s\n",
-                 scale.n, treap_ns, batch_ns, speedup,
-                 s + 1 < std::size(scales) ? "," : "");
+    report.AddRow({{"n", scale.n}, {"treap_ns", treap_ns},
+                   {"batch_ns", batch_ns}, {"speedup", speedup}});
     if (scale.n == 5000 && speedup < 5.0) {
       std::fprintf(stderr,
                    "FAIL: %.1fx at n=5000 — the acceptance bar is >= 5x "
@@ -253,10 +223,9 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  if (!ok) return 1;
+  if (!report.Save() || !ok) return 1;
   std::printf("\ntreap and batch agree at every scale; results written to "
-              "BENCH_batch_estimate.json\n");
+              "%s\n",
+              report.FileName().c_str());
   return 0;
 }

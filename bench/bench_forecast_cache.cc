@@ -18,7 +18,6 @@
 //                                      thresholds, so it cannot flake on
 //                                      slow machines)
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -73,14 +72,12 @@ RunResult RunScenario(int n, int quanta, bool cached) {
     ids.push_back(*id);
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  const std::int64_t start = bench::NowNs();
   for (int q = 0; q < quanta; ++q) runner.StepFor(options.quantum);
-  const auto end = std::chrono::steady_clock::now();
+  const std::int64_t end = bench::NowNs();
 
   RunResult result;
-  result.ms_per_quantum =
-      std::chrono::duration<double, std::milli>(end - start).count() /
-      quanta;
+  result.ms_per_quantum = static_cast<double>(end - start) * 1e-6 / quanta;
   result.simulations = pis.multi()->forecast_cache_misses();
   result.traces.reserve(ids.size());
   for (QueryId id : ids) result.traces.push_back(runner.Trace(id));

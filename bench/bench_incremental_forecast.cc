@@ -9,7 +9,7 @@
 // closed-form prefix aggregates with no simulation at all; this bench
 // measures ns/estimate for both paths in the one-estimate-per-quantum
 // regime, cross-checks that they agree, and writes
-// BENCH_incremental_forecast.json next to the binary.
+// BENCH_incremental_forecast.json in the working directory.
 //
 // Modes:
 //   bench_incremental_forecast               full comparison at
@@ -25,7 +25,6 @@
 //                                            counters (no wall-clock
 //                                            thresholds)
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -96,15 +95,14 @@ RunResult Run(Fixture* fx, int quanta) {
         fx->ids[static_cast<std::size_t>(q) % fx->ids.size()];
     auto info = fx->db->info(target);
     if (!info.ok()) std::exit(1);
-    const auto start = std::chrono::steady_clock::now();
+    const std::int64_t start = bench::NowNs();
     auto eta = fx->pi->EstimateRemainingTime(*info);
-    const auto end = std::chrono::steady_clock::now();
+    total_ns += static_cast<double>(bench::NowNs() - start);
     if (!eta.ok()) {
       std::fprintf(stderr, "estimate failed: %s\n",
                    eta.status().ToString().c_str());
       std::exit(1);
     }
-    total_ns += std::chrono::duration<double, std::nano>(end - start).count();
     result.estimates.push_back(*eta);
   }
   result.ns_per_estimate = total_ns / quanta;
@@ -169,19 +167,13 @@ int main(int argc, char** argv) {
   // scale for a stable average.
   const Scale scales[] = {{100, 400}, {5000, 40}, {50000, 8}};
 
-  std::FILE* json = std::fopen("BENCH_incremental_forecast.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_incremental_forecast.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"incremental_forecast\",\n"
-                     "  \"unit\": \"ns_per_estimate\",\n  \"results\": [\n");
+  bench::JsonReport report("incremental_forecast",
+                           {{"unit", "ns_per_estimate"}});
 
   std::printf("%8s %16s %16s %9s %12s %12s\n", "n", "simulator ns/est",
               "incremental ns/e", "speedup", "sims", "fast path");
   bool ok = true;
-  for (std::size_t s = 0; s < std::size(scales); ++s) {
-    const Scale& scale = scales[s];
+  for (const Scale& scale : scales) {
     auto sim_fx = MakeFixture(scale.n, /*incremental=*/false);
     const RunResult sim = Run(sim_fx.get(), scale.quanta);
     auto inc_fx = MakeFixture(scale.n, /*incremental=*/true);
@@ -208,11 +200,10 @@ int main(int argc, char** argv) {
                 sim.ns_per_estimate, inc.ns_per_estimate, speedup,
                 static_cast<unsigned long long>(sim.simulations),
                 static_cast<unsigned long long>(inc.fast_path));
-    std::fprintf(json,
-                 "    {\"n\": %d, \"simulator_ns\": %.1f, "
-                 "\"incremental_ns\": %.1f, \"speedup\": %.1f}%s\n",
-                 scale.n, sim.ns_per_estimate, inc.ns_per_estimate, speedup,
-                 s + 1 < std::size(scales) ? "," : "");
+    report.AddRow({{"n", scale.n},
+                   {"simulator_ns", sim.ns_per_estimate},
+                   {"incremental_ns", inc.ns_per_estimate},
+                   {"speedup", speedup}});
     if (scale.n == 5000 && speedup < 20.0) {
       std::fprintf(stderr,
                    "FAIL: %.1fx speedup at n=5000 — the acceptance bar is "
@@ -221,10 +212,8 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  if (!ok) return 1;
-  std::printf("\nestimates agree at every scale; results written to "
-              "BENCH_incremental_forecast.json\n");
+  if (!report.Save() || !ok) return 1;
+  std::printf("\nestimates agree at every scale; results written to %s\n",
+              report.FileName().c_str());
   return 0;
 }

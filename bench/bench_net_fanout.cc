@@ -27,16 +27,16 @@
 // MQPI_NET_SUBS caps the largest scale (default 100000).
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "engine/planner.h"
 #include "net/client.h"
 #include "net/fanout.h"
@@ -51,12 +51,7 @@ namespace {
 
 constexpr int kQueries = 6;
 constexpr int kConsumerThreads = 4;
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr int kPoolThreads = 4;
 
 struct ScaleResult {
   int subscribers = 0;
@@ -70,14 +65,6 @@ struct ScaleResult {
   std::uint64_t frames_delivered = 0;
   std::uint64_t sheds = 0;
 };
-
-double Percentile(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0.0;
-  const auto k = static_cast<std::size_t>(
-      p * static_cast<double>(samples->size() - 1));
-  std::nth_element(samples->begin(), samples->begin() + k, samples->end());
-  return (*samples)[k];
-}
 
 /// Pumps every subscriber in [begin, end) until its view reaches
 /// `target`, appending publish->pop latency samples (us).
@@ -95,7 +82,7 @@ void PumpSlice(std::vector<net::LocalSubscriber>* subs, std::size_t begin,
       }
       sequences.clear();
       sub.Pump(&sequences);
-      const std::int64_t now = NowNs();
+      const std::int64_t now = bench::NowNs();
       for (const std::uint64_t seq : sequences) {
         const std::int64_t stamp = fanout->PublishWallNs(seq);
         if (stamp > 0 && now > stamp) {
@@ -119,7 +106,7 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
   service::PiService service(&catalog, options);
 
   net::PiServerOptions server_options;
-  server_options.pool_threads = 4;
+  server_options.pool_threads = kPoolThreads;
   // The burst phase publishes without consumer pumping in between;
   // generous queue bounds keep coalescing (not shedding) the pressure
   // valve.
@@ -148,58 +135,52 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
   ScaleResult result;
   result.subscribers = subscribers;
 
-  // ---- paced phase: publish, then fan in the latency samples ----------------
+  // Pumps every subscriber up to the latest snapshot, the subscribers
+  // split into one slice per consumer thread.
   std::vector<std::vector<double>> thread_latencies(kConsumerThreads);
   const std::size_t slice =
       (subs.size() + kConsumerThreads - 1) / kConsumerThreads;
+  auto pump_all = [&] {
+    const std::uint64_t target = service.snapshot()->sequence;
+    std::vector<std::thread> consumers;
+    for (int t = 0; t < kConsumerThreads; ++t) {
+      const std::size_t begin = std::min(subs.size(), t * slice);
+      const std::size_t end = std::min(subs.size(), begin + slice);
+      if (begin == end) continue;
+      consumers.emplace_back(PumpSlice, &subs, begin, end, target,
+                             server.fanout(), &thread_latencies[t]);
+    }
+    for (auto& consumer : consumers) consumer.join();
+  };
+
+  // ---- paced phase: publish, then fan in the latency samples ----------------
   for (int round = 0; round < paced_rounds; ++round) {
     const Status status = service.Advance(options.rdbms.quantum);
     if (!status.ok()) {
       std::fprintf(stderr, "advance failed: %s\n", status.ToString().c_str());
       std::exit(1);
     }
-    const std::uint64_t target = service.snapshot()->sequence;
-    std::vector<std::thread> consumers;
-    for (int t = 0; t < kConsumerThreads; ++t) {
-      const std::size_t begin = std::min(subs.size(), t * slice);
-      const std::size_t end = std::min(subs.size(), begin + slice);
-      if (begin == end) continue;
-      consumers.emplace_back(PumpSlice, &subs, begin, end, target,
-                             server.fanout(), &thread_latencies[t]);
-    }
-    for (auto& consumer : consumers) consumer.join();
+    pump_all();
   }
   std::vector<double> latencies;
   for (auto& part : thread_latencies) {
     latencies.insert(latencies.end(), part.begin(), part.end());
   }
-  result.p50_us = Percentile(&latencies, 0.50);
-  result.p99_us = Percentile(&latencies, 0.99);
+  result.p50_us = Percentile(latencies, 50.0);
+  result.p99_us = Percentile(std::move(latencies), 99.0);
 
   // ---- burst phase: ticker throughput with zero consumer pumping ------------
-  const std::int64_t t0 = NowNs();
+  const std::int64_t t0 = bench::NowNs();
   for (int i = 0; i < burst_quanta; ++i) {
     (void)service.Advance(options.rdbms.quantum);
   }
-  const std::int64_t t1 = NowNs();
+  const std::int64_t t1 = bench::NowNs();
   result.ticker_quanta_per_sec =
       static_cast<double>(burst_quanta) /
       (static_cast<double>(t1 - t0) * 1e-9);
 
   // Drain so teardown never races a mid-sweep delivery.
-  {
-    const std::uint64_t target = service.snapshot()->sequence;
-    std::vector<std::thread> consumers;
-    std::vector<double> sink;
-    for (int t = 0; t < kConsumerThreads; ++t) {
-      const std::size_t begin = std::min(subs.size(), t * slice);
-      const std::size_t end = std::min(subs.size(), begin + slice);
-      if (begin == end) continue;
-      consumers.emplace_back(PumpSlice, &subs, begin, end, target,
-                             server.fanout(), &thread_latencies[t]);
-    }
-    for (auto& consumer : consumers) consumer.join();
-  }
+  pump_all();
 
   result.ops_per_publish =
       static_cast<double>(server.fanout()->publish_ops()) /
@@ -266,13 +247,11 @@ int main(int argc, char** argv) {
   }
   if (scales.empty()) scales.push_back(max_subs);
 
-  std::FILE* json = std::fopen("BENCH_net_fanout.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_net_fanout.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"net_fanout\",\n"
-                     "  \"unit\": \"us\",\n  \"results\": [\n");
+  bench::JsonReport report("net_fanout",
+                           {{"unit", "us"},
+                            {"queries", kQueries},
+                            {"pool_threads", kPoolThreads},
+                            {"consumer_threads", kConsumerThreads}});
 
   std::printf("%10s %10s %10s %16s %14s %12s\n", "subs", "p50 us", "p99 us",
               "ticker quanta/s", "ops/publish", "frames");
@@ -286,14 +265,13 @@ int main(int argc, char** argv) {
                 r.p50_us, r.p99_us, r.ticker_quanta_per_sec,
                 r.ops_per_publish,
                 static_cast<unsigned long long>(r.frames_delivered));
-    std::fprintf(json,
-                 "    {\"subscribers\": %d, \"p50_us\": %.1f, "
-                 "\"p99_us\": %.1f, \"ticker_quanta_per_sec\": %.0f, "
-                 "\"ops_per_publish\": %.3f, \"frames\": %llu}%s\n",
-                 r.subscribers, r.p50_us, r.p99_us, r.ticker_quanta_per_sec,
-                 r.ops_per_publish,
-                 static_cast<unsigned long long>(r.frames_delivered),
-                 s + 1 < scales.size() ? "," : "");
+    report.AddRow({{"subscribers", r.subscribers},
+                   {"p50_us", r.p50_us},
+                   {"p99_us", r.p99_us},
+                   {"ticker_quanta_per_sec", r.ticker_quanta_per_sec},
+                   {"ops_per_publish", r.ops_per_publish},
+                   {"frames", r.frames_delivered},
+                   {"sheds", r.sheds}});
     if (s == 0) {
       first_ops = r.ops_per_publish;
     } else if (r.ops_per_publish != first_ops) {
@@ -310,9 +288,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  if (!ok) return 1;
-  std::printf("\nresults written to BENCH_net_fanout.json\n");
+  if (!report.Save() || !ok) return 1;
+  std::printf("\nresults written to %s\n", report.FileName().c_str());
   return 0;
 }

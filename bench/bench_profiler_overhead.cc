@@ -28,12 +28,12 @@
 //                                        profiler enabled and publish
 //                                        stamps flowing.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
+#include "bench_util.h"
 #include "engine/planner.h"
 #include "net/client.h"
 #include "net/fanout.h"
@@ -48,31 +48,25 @@ using namespace mqpi;
 
 namespace {
 
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Mean wall ns per ProfScope open+close against `profiler`.
 double ScopeNsPerOp(obs::Profiler* profiler, obs::ProfSite* site,
                     int iterations) {
-  const std::int64_t t0 = NowNs();
+  const std::int64_t t0 = bench::NowNs();
   for (int i = 0; i < iterations; ++i) {
     obs::ProfScope scope(profiler, site);
   }
-  const std::int64_t t1 = NowNs();
+  const std::int64_t t1 = bench::NowNs();
   return static_cast<double>(t1 - t0) / static_cast<double>(iterations);
 }
 
 double NestedScopeNsPerOp(obs::Profiler* profiler, obs::ProfSite* outer,
                           obs::ProfSite* inner, int iterations) {
-  const std::int64_t t0 = NowNs();
+  const std::int64_t t0 = bench::NowNs();
   for (int i = 0; i < iterations; ++i) {
     obs::ProfScope a(profiler, outer);
     obs::ProfScope b(profiler, inner);
   }
-  const std::int64_t t1 = NowNs();
+  const std::int64_t t1 = bench::NowNs();
   return static_cast<double>(t1 - t0) / static_cast<double>(iterations);
 }
 
@@ -90,11 +84,11 @@ double StepNsPerOp(bool enabled, int iterations) {
     (void)db.Submit(engine::QuerySpec::Synthetic(1e12));
   }
   obs::GlobalProfiler()->set_enabled(enabled);
-  const std::int64_t t0 = NowNs();
+  const std::int64_t t0 = bench::NowNs();
   for (int i = 0; i < iterations; ++i) {
     db.Step(options.quantum);
   }
-  const std::int64_t t1 = NowNs();
+  const std::int64_t t1 = bench::NowNs();
   obs::GlobalProfiler()->set_enabled(false);
   return static_cast<double>(t1 - t0) / static_cast<double>(iterations);
 }
@@ -264,25 +258,19 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12.1f ns/op (%+.2f%%)\n", "Rdbms::Step, profiler on",
               step_on_ns, step_delta_pct);
 
-  std::FILE* json = std::fopen("BENCH_profiler_overhead.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_profiler_overhead.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"profiler_overhead\",\n"
-               "  \"unit\": \"ns/op\",\n  \"results\": [\n"
-               "    {\"case\": \"scope_disabled\", \"ns_per_op\": %.2f},\n"
-               "    {\"case\": \"scope_enabled\", \"ns_per_op\": %.2f},\n"
-               "    {\"case\": \"nested_pair_enabled\", \"ns_per_op\": "
-               "%.2f},\n"
-               "    {\"case\": \"rdbms_step_profiler_off\", \"ns_per_op\": "
-               "%.2f},\n"
-               "    {\"case\": \"rdbms_step_profiler_on\", \"ns_per_op\": "
-               "%.2f, \"delta_pct\": %.2f}\n  ]\n}\n",
-               disabled_ns, enabled_ns, nested_ns, step_off_ns, step_on_ns,
-               step_delta_pct);
-  std::fclose(json);
-  std::printf("\nwrote BENCH_profiler_overhead.json\n");
+  bench::JsonReport report("profiler_overhead",
+                           {{"unit", "ns/op"},
+                            {"scope_iterations", kScopeIters},
+                            {"step_iterations", kStepIters}});
+  report.AddRow({{"case", "scope_disabled"}, {"ns_per_op", disabled_ns}});
+  report.AddRow({{"case", "scope_enabled"}, {"ns_per_op", enabled_ns}});
+  report.AddRow({{"case", "nested_pair_enabled"}, {"ns_per_op", nested_ns}});
+  report.AddRow(
+      {{"case", "rdbms_step_profiler_off"}, {"ns_per_op", step_off_ns}});
+  report.AddRow({{"case", "rdbms_step_profiler_on"},
+                 {"ns_per_op", step_on_ns},
+                 {"delta_pct", step_delta_pct}});
+  if (!report.Save()) return 1;
+  std::printf("\nwrote %s\n", report.FileName().c_str());
   return 0;
 }

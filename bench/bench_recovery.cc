@@ -15,11 +15,10 @@
 //     pre-crash one — a benchmark run that recovers to the wrong state
 //     exits nonzero.
 //
-// Writes BENCH_recovery.json.
+// Writes BENCH_recovery.json in the working directory.
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +27,7 @@
 #include <sys/stat.h>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/random.h"
 #include "engine/planner.h"
 #include "recover/durable_log.h"
@@ -39,12 +39,6 @@
 using namespace mqpi;
 
 namespace {
-
-double NowS() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t FileBytes(const std::string& path) {
   struct stat st{};
@@ -85,7 +79,7 @@ ScaleResult RunScale(const storage::Catalog* catalog, std::uint64_t target) {
     auto session = service.OpenSession("bench");
 
     Rng rng(20060326);
-    const double start = NowS();
+    const std::int64_t start = bench::NowNs();
     // Keep a rolling population: submit, step, control, publish until
     // the history reaches the target.
     std::vector<QueryId> live;
@@ -100,7 +94,7 @@ ScaleResult RunScale(const storage::Catalog* catalog, std::uint64_t target) {
       if (!service.Advance(0.5).ok()) std::abort();
       service.PublishNow();
     }
-    const double append_s = NowS() - start;
+    const double append_s = 1e-9 * double(bench::NowNs() - start);
     result.events = log->history_size();
     result.append_events_per_sec =
         static_cast<double>(result.events) / append_s;
@@ -109,9 +103,9 @@ ScaleResult RunScale(const storage::Catalog* catalog, std::uint64_t target) {
             FileBytes(recover::DurableLog::JournalPath(dir, 0))) /
         static_cast<double>(result.events);
 
-    const double ckpt_start = NowS();
+    const std::int64_t ckpt_start = bench::NowNs();
     if (!recover::Checkpoint(&service, log.get()).ok()) std::abort();
-    result.checkpoint_ms = (NowS() - ckpt_start) * 1e3;
+    result.checkpoint_ms = 1e-6 * double(bench::NowNs() - ckpt_start);
     result.checkpoint_bytes = FileBytes(recover::DurableLog::CheckpointPath(
         dir, log->active_index()));
 
@@ -125,7 +119,7 @@ ScaleResult RunScale(const storage::Catalog* catalog, std::uint64_t target) {
     session->Close();
   }
 
-  const double recover_start = NowS();
+  const std::int64_t recover_start = bench::NowNs();
   service::PiServiceOptions options;
   options.rdbms.processing_rate = 200.0;
   options.rdbms.quantum = 0.25;
@@ -137,7 +131,7 @@ ScaleResult RunScale(const storage::Catalog* catalog, std::uint64_t target) {
                  recovered.status().ToString().c_str());
     std::abort();
   }
-  result.recover_ms = (NowS() - recover_start) * 1e3;
+  result.recover_ms = 1e-6 * double(bench::NowNs() - recover_start);
   result.replay_events_per_sec =
       static_cast<double>(recovered->events_replayed) /
       (result.recover_ms / 1e3);
@@ -160,11 +154,19 @@ int main() {
   std::printf("%10s %14s %10s %12s %12s %12s %9s %6s\n", "events",
               "append-ev/s", "B/event", "ckpt-ms", "ckpt-bytes",
               "recover-ms", "replay/s", "exact");
-  std::vector<ScaleResult> results;
+  bench::JsonReport report("recovery");
   bool all_exact = true;
   for (const std::uint64_t scale : scales) {
     const ScaleResult r = RunScale(&catalog, scale);
-    results.push_back(r);
+    report.AddRow({{"events", r.events},
+                   {"append_events_per_sec", r.append_events_per_sec},
+                   {"journal_bytes_per_event", r.journal_bytes_per_event},
+                   {"checkpoint_ms", r.checkpoint_ms},
+                   {"checkpoint_bytes", r.checkpoint_bytes},
+                   {"recover_ms", r.recover_ms},
+                   {"replay_events_per_sec", r.replay_events_per_sec},
+                   {"verified", r.verified},
+                   {"byte_identical", r.byte_identical}});
     all_exact = all_exact && r.verified && r.byte_identical;
     std::printf("%10llu %14.0f %10.1f %12.2f %12llu %12.2f %9.0f %6s\n",
                 static_cast<unsigned long long>(r.events),
@@ -175,30 +177,7 @@ int main() {
                 r.verified && r.byte_identical ? "yes" : "NO");
   }
 
-  std::FILE* json = std::fopen("BENCH_recovery.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_recovery.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"recovery\",\n  \"scales\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ScaleResult& r = results[i];
-    std::fprintf(
-        json,
-        "    {\"events\": %llu, \"append_events_per_sec\": %.0f,\n"
-        "     \"journal_bytes_per_event\": %.1f, \"checkpoint_ms\": %.3f,\n"
-        "     \"checkpoint_bytes\": %llu, \"recover_ms\": %.3f,\n"
-        "     \"replay_events_per_sec\": %.0f, \"verified\": %s,\n"
-        "     \"byte_identical\": %s}%s\n",
-        static_cast<unsigned long long>(r.events), r.append_events_per_sec,
-        r.journal_bytes_per_event, r.checkpoint_ms,
-        static_cast<unsigned long long>(r.checkpoint_bytes), r.recover_ms,
-        r.replay_events_per_sec, r.verified ? "true" : "false",
-        r.byte_identical ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nresults written to BENCH_recovery.json\n");
+  if (!report.Save()) return 1;
+  std::printf("\nresults written to %s\n", report.FileName().c_str());
   return all_exact ? 0 : 1;
 }

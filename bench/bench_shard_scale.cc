@@ -27,7 +27,6 @@
 // Env knobs: MQPI_SHARD_QUERIES (aggregate live queries, default
 // 2000), MQPI_SHARD_WALL_MS (measured window per scale, default 600).
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -36,9 +35,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "engine/planner.h"
 #include "service/session.h"
 #include "service/sharded_service.h"
@@ -47,12 +48,6 @@
 using namespace mqpi;
 
 namespace {
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct ScaleResult {
   int shards = 0;
@@ -110,7 +105,7 @@ ScaleResult RunScale(int shards, int total_queries, double wall_s) {
     std::atomic<std::int64_t>* stamp = publish_ns[std::size_t(s)].get();
     coordinator.shard_service(s)->SetPublishHook(
         [stamp](const service::SnapshotPtr&) {
-          stamp->store(NowNs(), std::memory_order_release);
+          stamp->store(bench::NowNs(), std::memory_order_release);
         });
   }
 
@@ -127,7 +122,7 @@ ScaleResult RunScale(int shards, int total_queries, double wall_s) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       service::SnapshotPtr snap = coordinator.GlobalSnapshot();
       if (snap == prev) continue;
-      const std::int64_t now = NowNs();
+      const std::int64_t now = bench::NowNs();
       std::int64_t lag = 0;
       for (std::size_t i = 0; i < snap->shard_loads.size(); ++i) {
         if (i < prev->shard_loads.size() &&
@@ -152,7 +147,7 @@ ScaleResult RunScale(int shards, int total_queries, double wall_s) {
                         ->counter("service.quanta_stepped")
                         ->value();
   }
-  const std::int64_t t0 = NowNs();
+  const std::int64_t t0 = bench::NowNs();
   std::this_thread::sleep_for(std::chrono::duration<double>(wall_s));
   std::uint64_t end_quanta = 0;
   for (int s = 0; s < shards; ++s) {
@@ -161,7 +156,7 @@ ScaleResult RunScale(int shards, int total_queries, double wall_s) {
                       ->counter("service.quanta_stepped")
                       ->value();
   }
-  const double measured_s = double(NowNs() - t0) / 1e9;
+  const double measured_s = double(bench::NowNs() - t0) / 1e9;
 
   stop.store(true, std::memory_order_release);
   poller.join();
@@ -181,16 +176,8 @@ ScaleResult RunScale(int shards, int total_queries, double wall_s) {
     result.merge_ns_mean = merge_ns->sum() / double(merge_ns->count());
     result.merge_ns_p99 = merge_ns->Quantile(0.99);
   }
-  if (!visibility_ms.empty()) {
-    double sum = 0.0;
-    for (double v : visibility_ms) sum += v;
-    result.publish_to_merge_ms_mean = sum / double(visibility_ms.size());
-    std::vector<double> sorted = visibility_ms;
-    std::sort(sorted.begin(), sorted.end());
-    result.publish_to_merge_ms_p99 =
-        sorted[std::min(sorted.size() - 1,
-                        std::size_t(0.99 * double(sorted.size())))];
-  }
+  result.publish_to_merge_ms_mean = Mean(visibility_ms);
+  result.publish_to_merge_ms_p99 = Percentile(std::move(visibility_ms), 99.0);
   for (auto& session : sessions) session->Close();
   return result;
 }
@@ -241,16 +228,8 @@ int main(int argc, char** argv) {
       double(bench::EnvInt("MQPI_SHARD_WALL_MS", 600)) / 1e3;
   const int scales[] = {1, 2, 4, 8};
 
-  std::FILE* json = std::fopen("BENCH_shard_scale.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_shard_scale.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"shard_scale\",\n"
-               "  \"aggregate_queries\": %d,\n"
-               "  \"window_s\": %.3f,\n  \"results\": [\n",
-               queries, wall_s);
+  bench::JsonReport report(
+      "shard_scale", {{"aggregate_queries", queries}, {"window_s", wall_s}});
 
   std::printf("aggregate load: %d long-lived queries, %.1fs window\n\n",
               queries, wall_s);
@@ -258,27 +237,24 @@ int main(int argc, char** argv) {
               "speedup", "merges", "merge ns mean", "pub->merge p99 ms");
   double baseline = 0.0;
   bool ok = true;
-  for (std::size_t i = 0; i < std::size(scales); ++i) {
-    const ScaleResult r = RunScale(scales[i], queries, wall_s);
-    if (scales[i] == 1) baseline = r.quanta_per_sec;
+  for (const int shards : scales) {
+    const ScaleResult r = RunScale(shards, queries, wall_s);
+    if (shards == 1) baseline = r.quanta_per_sec;
     const double speedup =
         r.quanta_per_sec / (baseline > 0.0 ? baseline : 1e-9);
     std::printf("%7d %14.0f %8.2fx %9llu %14.0f %18.2f\n", r.shards,
                 r.quanta_per_sec, speedup,
                 static_cast<unsigned long long>(r.merges), r.merge_ns_mean,
                 r.publish_to_merge_ms_p99);
-    std::fprintf(
-        json,
-        "    {\"shards\": %d, \"quanta_per_sec\": %.0f, \"speedup\": "
-        "%.2f, \"merges\": %llu, \"merge_ns_mean\": %.0f, "
-        "\"merge_ns_p99\": %.0f, \"publish_to_merge_ms_mean\": %.3f, "
-        "\"publish_to_merge_ms_p99\": %.3f}%s\n",
-        r.shards, r.quanta_per_sec, speedup,
-        static_cast<unsigned long long>(r.merges), r.merge_ns_mean,
-        r.merge_ns_p99, r.publish_to_merge_ms_mean,
-        r.publish_to_merge_ms_p99,
-        i + 1 < std::size(scales) ? "," : "");
-    if (scales[i] == 4 && speedup < 3.0) {
+    report.AddRow({{"shards", r.shards},
+                   {"quanta_per_sec", r.quanta_per_sec},
+                   {"speedup", speedup},
+                   {"merges", r.merges},
+                   {"merge_ns_mean", r.merge_ns_mean},
+                   {"merge_ns_p99", r.merge_ns_p99},
+                   {"publish_to_merge_ms_mean", r.publish_to_merge_ms_mean},
+                   {"publish_to_merge_ms_p99", r.publish_to_merge_ms_p99}});
+    if (shards == 4 && speedup < 3.0) {
       std::fprintf(stderr,
                    "FAIL: %.2fx at 4 shards — the acceptance bar is >= 3x "
                    "aggregate quanta/sec over one shard\n",
@@ -286,9 +262,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  if (!ok) return 1;
-  std::printf("\nresults written to BENCH_shard_scale.json\n");
+  if (!report.Save() || !ok) return 1;
+  std::printf("\nresults written to %s\n", report.FileName().c_str());
   return 0;
 }

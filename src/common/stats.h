@@ -57,8 +57,8 @@ double RelativeError(double estimate, double actual);
 /// Mean of a vector (0 for empty input).
 double Mean(const std::vector<double>& xs);
 
-/// Exact percentile (nearest-rank) of a copy-sorted vector.
-/// p in [0, 100]. Returns 0 for empty input.
+/// Percentile of a copy-sorted vector, interpolated linearly between
+/// the two closest ranks. p in [0, 100]. Returns 0 for empty input.
 double Percentile(std::vector<double> xs, double p);
 
 }  // namespace mqpi

@@ -10,6 +10,9 @@
 namespace mqpi::net {
 namespace {
 
+// Reconnect delays get a uniform jitter of +-this fraction on top.
+constexpr double kBackoffJitter = 0.5;
+
 double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -74,8 +77,7 @@ void ResilientClient::PublishMirror(const SnapshotView& view) {
 
 bool ResilientClient::SleepBackoff(double* backoff_s) {
   // Jittered delay, then grow toward the cap for the next round.
-  const double jitter =
-      rng_.Uniform(-options_.backoff_jitter, options_.backoff_jitter);
+  const double jitter = rng_.Uniform(-kBackoffJitter, kBackoffJitter);
   const double delay = std::max(0.0, *backoff_s * (1.0 + jitter));
   *backoff_s = std::min(*backoff_s * 2.0, options_.backoff_max_s);
   return wake_.SleepFor(delay);

@@ -53,10 +53,9 @@ class ResilientClient {
     /// Bounds each TCP connect attempt (see Client::Connect).
     double connect_timeout_s = 2.0;
     /// Reconnect backoff: initial delay, doubling to the cap, with a
-    /// uniform jitter of +-`backoff_jitter` x delay on top.
+    /// uniform jitter of +-50% of the delay on top.
     double backoff_initial_s = 0.05;
     double backoff_max_s = 2.0;
-    double backoff_jitter = 0.5;
     /// A stream quiet for this long gets a liveness ping; the ping's
     /// own call timeout is the pong deadline.
     double ping_interval_s = 1.0;

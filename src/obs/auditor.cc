@@ -8,6 +8,14 @@ namespace mqpi::obs {
 
 namespace {
 
+// Trajectory length cap per live query; later samples are dropped so a
+// runaway query cannot grow memory.
+constexpr std::size_t kMaxSamplesPerQuery = 4096;
+// Samples whose true remaining time is below this fraction of the
+// query lifetime are excluded from MAPE/bias: relative error against a
+// truth of ~0 is noise, not signal.
+constexpr double kMinTruthFraction = 0.02;
+
 bool UsableEstimate(SimTime estimate) {
   return estimate != kUnknown && estimate >= 0.0 &&
          estimate < kInfiniteTime && !std::isnan(estimate);
@@ -31,7 +39,7 @@ EstimatorScore EstimateAuditor::ScoreTrajectory(
   EstimatorScore score;
   const double lifetime = std::max(finish - arrival, kTimeEpsilon);
   const double min_truth =
-      std::max(options_.min_truth_fraction * lifetime, kTimeEpsilon);
+      std::max(kMinTruthFraction * lifetime, kTimeEpsilon);
 
   double sum_abs = 0.0;
   double sum_signed = 0.0;
@@ -104,7 +112,7 @@ std::optional<QueryAccuracy> EstimateAuditor::Observe(
     LiveQuery& live = live_[obs.id];
     live.priority = obs.priority;
     live.arrival_time = obs.arrival_time;
-    if (live.samples.size() < options_.max_samples_per_query) {
+    if (live.samples.size() < kMaxSamplesPerQuery) {
       live.samples.push_back(
           Sample{obs.time, obs.eta_single, obs.eta_multi});
     }

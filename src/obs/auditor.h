@@ -109,17 +109,10 @@ struct AccuracyAggregate {
 };
 
 struct AuditorOptions {
-  /// Trajectory length cap per live query; later samples are dropped
-  /// (counted, not scored) so a runaway query cannot grow memory.
-  std::size_t max_samples_per_query = 4096;
   /// Completed per-query reports retained for ReportFor()/Completed().
   std::size_t retain_completed = 1024;
   /// Relative-error band for convergence detection.
   double convergence_band = 0.10;
-  /// Samples whose true remaining time is below this fraction of the
-  /// query lifetime are excluded from MAPE/bias: relative error against
-  /// a truth of ~0 is noise, not signal.
-  double min_truth_fraction = 0.02;
   /// Absolute slack subtracted from |estimate - truth| before a sample
   /// is scored. Ground truth is only known to the publisher's time
   /// resolution — the scheduler stamps finish times at quantum ends and

@@ -5,6 +5,11 @@
 
 namespace mqpi::obs {
 
+namespace {
+// Lifetime cap on file dumps.
+constexpr std::uint64_t kMaxDumps = 16;
+}  // namespace
+
 std::string_view FlightEventKindName(FlightEventKind kind) {
   switch (kind) {
     case FlightEventKind::kSpan: return "span";
@@ -75,7 +80,7 @@ std::string FlightRecorder::Trigger(const char* reason) {
     return "";
   }
   const std::uint64_t n = dumps_.fetch_add(1, std::memory_order_relaxed);
-  if (n >= options_.max_dumps) {
+  if (n >= kMaxDumps) {
     dumps_.fetch_sub(1, std::memory_order_relaxed);
     return "";
   }

@@ -10,7 +10,7 @@
 //   - the ticker watchdog replaces a stalled ticker thread,
 //   - a slow consumer is shed at the network edge,
 //   - a degraded snapshot is published (staleness past threshold).
-// Triggers are throttled (`min_dump_interval_s`, `max_dumps`) so a
+// Triggers are throttled (`min_dump_interval_s`, at most 16 dumps) so a
 // flapping system cannot flood the disk, and every trigger is counted
 // and visible in /statusz even when file dumps are off.
 //
@@ -70,8 +70,6 @@ struct FlightRecorderOptions {
   std::string dump_dir = ".";
   /// Minimum wall seconds between file dumps.
   double min_dump_interval_s = 5.0;
-  /// Lifetime cap on file dumps.
-  std::size_t max_dumps = 16;
 };
 
 class FlightRecorder {

@@ -23,9 +23,8 @@ void AppendNumber(std::string* out, double v) {
   out->append(buf);
 }
 
-/// Appends `s` JSON-escaped (no surrounding quotes). Categories and
-/// names are *supposed* to be JSON-safe literals, but a stray quote,
-/// backslash, or control character must not corrupt the whole export.
+}  // namespace
+
 void AppendJsonEscaped(std::string* out, const char* s) {
   if (s == nullptr) return;
   for (const char* p = s; *p != '\0'; ++p) {
@@ -50,8 +49,6 @@ void AppendJsonEscaped(std::string* out, const char* s) {
     }
   }
 }
-
-}  // namespace
 
 std::string RenderTraceEventJson(const TraceEvent& event) {
   std::string out = "{\"ts\":";

@@ -70,6 +70,11 @@ struct TraceEvent {
 /// Tracer's exports and the FlightRecorder's dumps.
 std::string RenderTraceEventJson(const TraceEvent& event);
 
+/// Appends `s` JSON-escaped (no surrounding quotes). Categories and
+/// names are *supposed* to be JSON-safe literals, but a stray quote,
+/// backslash, or control character must not corrupt the whole export.
+void AppendJsonEscaped(std::string* out, const char* s);
+
 struct TracerOptions {
   /// Total event capacity, split across the stripes. Rings are
   /// allocated lazily on each stripe's first event.

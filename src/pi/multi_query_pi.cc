@@ -21,6 +21,13 @@ namespace {
 // multi-quantum steps) is re-anchored with an O(log n) Update so fast-
 // path estimates stay within float rounding of the simulator's.
 constexpr double kDriftRelTolerance = 1e-9;
+
+// Rate guardrail: the effective estimation rate never drops below
+// this fraction of the configured rate. A measured rate at/below the
+// floor (a collapse, a corrupted window, a denormal EWMA tail) would
+// otherwise divide estimates toward infinity; the floor keeps every
+// forecast finite and counts the clamp in rate_floor_hits().
+constexpr double kMinRateFraction = 1e-3;
 }  // namespace
 
 MultiQueryPi::MultiQueryPi(const sched::Rdbms* db,
@@ -253,8 +260,7 @@ double MultiQueryPi::estimated_rate() const {
   // The floor keeps the estimation rate strictly positive and finite
   // even when the measured rate collapses to zero/denormal or the
   // configured rate itself is degenerate.
-  const double floor =
-      std::max(configured * options_.min_rate_fraction, 1e-12);
+  const double floor = std::max(configured * kMinRateFraction, 1e-12);
   const double rate = rate_.has_value() ? rate_.value() : configured;
   if (!std::isfinite(rate) || rate < floor) {
     ++rate_floor_hits_;

@@ -75,12 +75,6 @@ struct MultiQueryPiOptions {
   /// in per forecast).
   SimTime horizon = 1e7;
   std::size_t max_events = 4'000'000;
-  /// Rate guardrail: the effective estimation rate never drops below
-  /// this fraction of the configured rate. A measured rate at/below
-  /// the floor (a collapse, a corrupted window, a denormal EWMA tail)
-  /// would otherwise divide estimates toward infinity; the floor keeps
-  /// every forecast finite and counts the clamp in rate_floor_hits().
-  double min_rate_fraction = 1e-3;
 };
 
 class MultiQueryPi {
@@ -227,8 +221,8 @@ class MultiQueryPi {
   }
 
   /// Degradation accounting, for the service's `pi.*` metrics:
-  /// times the rate floor (min_rate_fraction) had to clamp the
-  /// measured rate,
+  /// times the rate floor (0.1% of the configured rate) had to clamp
+  /// the measured rate,
   std::uint64_t rate_floor_hits() const { return rate_floor_hits_; }
   /// rate-window samples rejected as non-finite or non-positive
   /// (injected corruption, stalled windows),

@@ -5,6 +5,11 @@
 
 namespace mqpi::pi {
 
+namespace {
+// Speed-EWMA weight of the single-query PIs.
+constexpr double kSingleSpeedAlpha = 0.3;
+}  // namespace
+
 PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
                      FutureWorkloadModel* future)
     : db_(db),
@@ -25,7 +30,7 @@ PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
 }
 
 void PiManager::Track(QueryId id) {
-  singles_.emplace(id, SingleQueryPi(id, options_.single_speed_alpha,
+  singles_.emplace(id, SingleQueryPi(id, kSingleSpeedAlpha,
                                      options_.single_speed_window));
 }
 

@@ -25,8 +25,6 @@ namespace mqpi::pi {
 struct PiManagerOptions {
   /// Configuration of the multi-query PI.
   MultiQueryPiOptions multi;
-  /// Speed-EWMA weight of the single-query PIs.
-  double single_speed_alpha = 0.3;
   /// Sliding-window span for single-query speed samples (seconds).
   SimTime single_speed_window = 2.0;
   /// Automatically Track() every query submitted after the manager

@@ -379,15 +379,13 @@ Status PiService::CloseSession(std::uint64_t session_id) {
     for (auto& arrival : keep) arrivals_.push(std::move(arrival));
   }
 
-  if (options_.abort_queries_on_session_close) {
-    // Abort fires the event listener, which mutates session->live —
-    // iterate a copy.
-    const std::vector<QueryId> live(session->live.begin(),
-                                    session->live.end());
-    for (QueryId id : live) {
-      const Status status = db_->Abort(id);
-      (void)status;  // already-terminal races are fine
-    }
+  // Abort the session's still-live queries. Abort fires the event
+  // listener, which mutates session->live — iterate a copy.
+  const std::vector<QueryId> live(session->live.begin(),
+                                  session->live.end());
+  for (QueryId id : live) {
+    const Status status = db_->Abort(id);
+    (void)status;  // already-terminal races are fine
   }
   sessions_.erase(session_id);
   metrics_.counter("sessions.closed")->Increment();

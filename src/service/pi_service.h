@@ -103,9 +103,6 @@ struct PiServiceOptions {
   double time_scale = 0.0;
   /// false = manual mode: no ticker thread, drive with Advance().
   bool start_ticker = true;
-  /// Closing a session aborts its still-live queries (and drops its
-  /// scheduled arrivals either way).
-  bool abort_queries_on_session_close = true;
   /// Per-session cap on concurrently live (non-terminal) queries;
   /// Submit fails with FailedPrecondition at the cap. 0 = unlimited.
   std::uint64_t max_inflight_per_session = 0;

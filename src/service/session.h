@@ -83,8 +83,8 @@ class Session {
   Status Abort(QueryId id);
   Status SetPriority(QueryId id, Priority priority);
 
-  /// Idempotent. Drops scheduled arrivals and (by service option)
-  /// aborts still-live queries, then detaches from the service.
+  /// Idempotent. Drops scheduled arrivals and aborts still-live
+  /// queries, then detaches from the service.
   Status Close();
 
  private:

@@ -25,36 +25,23 @@ ShardedPiService::ShardedPiService(const storage::Catalog* catalog,
   const int n = options.num_shards < 1 ? 1 : options.num_shards;
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
+  owned_.reserve(static_cast<std::size_t>(n));
   shards_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    PiShardOptions shard_options;
-    shard_options.index = i;
-    shard_options.service = options.shard;
+    PiServiceOptions shard_options = options.shard;
     if (options.pin_cpus) {
-      shard_options.service.pin_cpu = static_cast<int>(
-          static_cast<unsigned>(i) % hw);
+      shard_options.pin_cpu = static_cast<int>(static_cast<unsigned>(i) % hw);
     }
-    if (options.per_shard) options.per_shard(i, &shard_options.service);
-    shards_.push_back(
-        std::make_unique<PiShard>(catalog, std::move(shard_options)));
+    if (options.per_shard) options.per_shard(i, &shard_options);
+    owned_.push_back(
+        std::make_unique<PiService>(catalog, std::move(shard_options)));
+    shards_.push_back(owned_.back().get());
   }
-  shards_gauge_ = metrics_.gauge("coord.shards");
-  merges_ = metrics_.counter("coord.merges");
-  rebalance_hints_ = metrics_.counter("coord.rebalance_hints");
-  merge_ns_ = metrics_.histogram("coord.merge_ns");
   shards_gauge_->Set(static_cast<double>(shards_.size()));
 }
 
-ShardedPiService::ShardedPiService(std::vector<PiService*> recovered) {
-  shards_.reserve(recovered.size());
-  for (std::size_t i = 0; i < recovered.size(); ++i) {
-    shards_.push_back(
-        std::make_unique<PiShard>(static_cast<int>(i), recovered[i]));
-  }
-  shards_gauge_ = metrics_.gauge("coord.shards");
-  merges_ = metrics_.counter("coord.merges");
-  rebalance_hints_ = metrics_.counter("coord.rebalance_hints");
-  merge_ns_ = metrics_.histogram("coord.merge_ns");
+ShardedPiService::ShardedPiService(std::vector<PiService*> recovered)
+    : shards_(std::move(recovered)) {
   shards_gauge_->Set(static_cast<double>(shards_.size()));
 }
 
@@ -70,7 +57,7 @@ std::unique_ptr<Session> ShardedPiService::OpenSession(std::string name,
 SnapshotPtr ShardedPiService::GlobalSnapshot() {
   std::vector<SnapshotPtr> latests;
   latests.reserve(shards_.size());
-  for (auto& shard : shards_) latests.push_back(shard->service()->snapshot());
+  for (PiService* shard : shards_) latests.push_back(shard->snapshot());
 
   std::lock_guard<std::mutex> lock(merge_mu_);
   // shared_ptr equality is pointer equality: the cache hits exactly
@@ -108,7 +95,7 @@ SnapshotPtr ShardedPiService::GlobalSnapshot() {
 SnapshotPtr ShardedPiService::MergeNow() {
   std::vector<SnapshotPtr> latests;
   latests.reserve(shards_.size());
-  for (auto& shard : shards_) latests.push_back(shard->service()->snapshot());
+  for (PiService* shard : shards_) latests.push_back(shard->snapshot());
   return Merge(latests);
 }
 
@@ -218,11 +205,11 @@ Result<SimTime> ShardedPiService::EstimateWhatIf(
 }
 
 void ShardedPiService::Start() {
-  for (auto& shard : shards_) shard->service()->Start();
+  for (PiService* shard : shards_) shard->Start();
 }
 
 void ShardedPiService::Stop() {
-  for (auto& shard : shards_) shard->service()->Stop();
+  for (PiService* shard : shards_) shard->Stop();
 }
 
 bool ShardedPiService::WaitUntilIdle(double timeout_seconds) {
@@ -230,13 +217,13 @@ bool ShardedPiService::WaitUntilIdle(double timeout_seconds) {
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(timeout_seconds));
-  for (auto& shard : shards_) {
+  for (PiService* shard : shards_) {
     const double remaining =
         std::chrono::duration<double>(deadline -
                                       std::chrono::steady_clock::now())
             .count();
     if (remaining <= 0.0) return false;
-    if (!shard->service()->WaitUntilIdle(remaining)) return false;
+    if (!shard->WaitUntilIdle(remaining)) return false;
   }
   return true;
 }
@@ -277,8 +264,8 @@ Status ShardedPiService::Drain(const DrainHooks& hooks) {
 ShardedPiService::GlobalLiveness ShardedPiService::CheckLiveness() const {
   GlobalLiveness global;
   global.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    global.shards.push_back(shard->service()->CheckLiveness());
+  for (const PiService* shard : shards_) {
+    global.shards.push_back(shard->CheckLiveness());
     const PiService::Liveness& live = global.shards.back();
     global.any_stalled = global.any_stalled || live.stalled();
     if (live.busy) ++global.busy_shards;

@@ -1,11 +1,16 @@
-// ShardedPiService: N independent PiShards behind one coordinator.
+// ShardedPiService: N independent PiService shards behind one
+// coordinator.
 //
 // The scaling problem: one PiService is one ticker thread stepping one
 // Rdbms, and the per-quantum cost is linear in the number of live
 // queries. Past a few thousand concurrent queries the single scheduler
 // is the bottleneck no matter how fast each estimate is. The fix is
 // the classic one — partition tenants across N shards, each a full
-// Rdbms + MultiQueryPi + ticker of its own, and aggregate.
+// PiService of its own (Rdbms + MultiQueryPi + ticker, optionally
+// core-pinned; its own metrics, flight recorder, fault scope and
+// journal), and aggregate. Shards never talk to each other: all
+// cross-shard state lives here, and it only ever reads the shards'
+// immutable latest-snapshot pointers.
 //
 // Coordinator contract (the part that must not serialize the hot
 // path):
@@ -51,7 +56,6 @@
 #include "common/units.h"
 #include "pi/multi_query_pi.h"
 #include "service/metrics.h"
-#include "service/pi_shard.h"
 #include "service/pi_service.h"
 #include "service/snapshot.h"
 
@@ -116,12 +120,11 @@ class ShardedPiService {
   ShardedPiService& operator=(const ShardedPiService&) = delete;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  PiShard* shard(int i) { return shards_[static_cast<std::size_t>(i)].get(); }
   PiService* shard_service(int i) {
-    return shards_[static_cast<std::size_t>(i)]->service();
+    return shards_[static_cast<std::size_t>(i)];
   }
   const PiService* shard_service(int i) const {
-    return shards_[static_cast<std::size_t>(i)]->service();
+    return shards_[static_cast<std::size_t>(i)];
   }
 
   // ---- routing --------------------------------------------------------------
@@ -199,7 +202,10 @@ class ShardedPiService {
   std::shared_ptr<ProgressSnapshot> Merge(
       const std::vector<SnapshotPtr>& latests) const;
 
-  std::vector<std::unique_ptr<PiShard>> shards_;
+  // Shard i's service is shards_[i]; owned_ holds them when this
+  // coordinator built them and is empty when it adopted recovered ones.
+  std::vector<std::unique_ptr<PiService>> owned_;
+  std::vector<PiService*> shards_;
   std::atomic<bool> draining_{false};
 
   // Merge cache: the latests tuple the cached merge was built from.
@@ -210,10 +216,10 @@ class ShardedPiService {
   SnapshotPtr merged_;
 
   MetricsRegistry metrics_;
-  Gauge* shards_gauge_;
-  Counter* merges_;
-  Counter* rebalance_hints_;
-  Histogram* merge_ns_;
+  Gauge* shards_gauge_ = metrics_.gauge("coord.shards");
+  Counter* merges_ = metrics_.counter("coord.merges");
+  Counter* rebalance_hints_ = metrics_.counter("coord.rebalance_hints");
+  Histogram* merge_ns_ = metrics_.histogram("coord.merge_ns");
 };
 
 }  // namespace mqpi::service

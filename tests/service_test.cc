@@ -605,8 +605,8 @@ TEST(ServiceStressTest, ConcurrentSubmittersAndReaders) {
   for (auto& writer : writers) writer.join();
   EXPECT_EQ(submit_failures.load(), 0);
 
-  // Sessions closed with abort_queries_on_session_close=true abort
-  // whatever was still live; the rest finished. Either way the system
+  // Closing a session aborts whatever was still live; the rest
+  // finished. Either way the system
   // must drain.
   ASSERT_TRUE(service.WaitUntilIdle(/*timeout_seconds=*/60.0));
   done.store(true, std::memory_order_release);

@@ -77,17 +77,13 @@ std::unique_ptr<SteadyState> WarmUp(bench::WorkloadFixture* fixture,
     if (!s->replacing || s->next_rank >= s->stream.size()) return;
     const int rank = s->stream[s->next_rank++];
     auto id = s->db->Submit(s->fixture->workload->SpecForRank(rank));
-    if (id.ok()) {
-      s->rank_of[*id] = rank;
-      s->pis->Track(*id);
-    }
+    if (id.ok()) s->rank_of[*id] = rank;
   });
 
   for (int i = 0; i < 10; ++i) {
     const int rank = s->stream[s->next_rank++];
     auto id = s->db->Submit(fixture->workload->SpecForRank(rank));
     s->rank_of[*id] = rank;
-    s->pis->Track(*id);
     // Random initial execution points, as in Section 5.2.
     const double cost = *fixture->workload->TrueCostOfRank(probe, rank);
     s->db->FastForward(*id, rng.Uniform(0.0, 0.9) * cost);

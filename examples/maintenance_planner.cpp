@@ -56,7 +56,6 @@ int main() {
     auto id = runner.SubmitNow(
         engine::QuerySpec::TpcrPartPrice("part_n" + std::to_string(n)));
     if (!id.ok()) Fail(id.status());
-    pis.Track(*id);
   }
   runner.StepFor(20.0);
 
@@ -64,9 +63,8 @@ int main() {
               db.now());
   std::printf("  %-4s %-10s %-12s %-12s %-14s\n", "id", "state",
               "done (U)", "est rem (U)", "multi-PI ETA (s)");
-  for (const auto& info : db.AllQueries()) {
-    if (info.state != sched::QueryState::kRunning) continue;
-    auto eta = pis.EstimateMulti(info.id);
+  for (const auto& info : db.RunningQueries()) {
+    auto eta = pis.multi()->EstimateRemainingTime(info);
     std::printf("  %-4llu %-10s %-12.0f %-12.0f %-14.1f\n",
                 static_cast<unsigned long long>(info.id),
                 std::string(sched::QueryStateName(info.state)).c_str(),

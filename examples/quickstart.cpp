@@ -53,7 +53,6 @@ int main() {
     check(spec.status());
     auto id = runner.SubmitNow(*spec);
     check(id.status());
-    pis.Track(*id);
     return *id;
   };
   const QueryId small = submit("part_small");
@@ -76,7 +75,7 @@ int main() {
     check(info.status());
     if (info->state == sched::QueryState::kFinished) break;
     auto single = pis.EstimateSingle(large);
-    auto multi = pis.EstimateMulti(large);
+    auto multi = pis.multi()->EstimateRemainingTime(large);
     std::printf("%5.1f  %17.1f  %16.1f\n", db.now(),
                 single.ok() ? *single : -1.0, multi.ok() ? *multi : -1.0);
   }

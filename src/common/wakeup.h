@@ -1,10 +1,16 @@
-// Wakeup: the one way a worker thread parks and is stopped.
+// Wakeup: the one way a thread parks, waits and is stopped.
 //
 // A work epoch and a stop flag, both written and read only under one
 // mutex that every wait checks them under before it blocks, so a
 // Notify() or RequestStop() racing a parking waiter is never lost. The
 // server's epoll loop is the one parked thread that does not use it: it
 // must also wake on sockets, so it parks on an eventfd.
+//
+// A wait for a data condition ("the system is idle", "a drain
+// finished") is a loop: check the condition, then WaitUntil() a
+// deadline. Whoever changes the condition calls Notify() afterwards.
+// The epoch the waiter passes in was read before its check, so a
+// change landing between the check and the block still wakes it.
 #pragma once
 
 #include <chrono>
@@ -41,6 +47,15 @@ class Wakeup {
     *seen_epoch = epoch_;
     return !stop_;
   }
+  /// Wait() with a deadline: also returns at `deadline`, still
+  /// storing the current epoch. Returns false when stop was requested.
+  bool WaitUntil(std::uint64_t* seen_epoch, Clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_until(lock, deadline,
+                   [&] { return Ready(stop_ || epoch_ != *seen_epoch); });
+    *seen_epoch = epoch_;
+    return !stop_;
+  }
   /// Blocks until `deadline` or stop, ignoring Notify(). Returns false
   /// when stop was requested.
   bool SleepUntil(Clock::time_point deadline) {
@@ -48,10 +63,12 @@ class Wakeup {
     cv_.wait_until(lock, deadline, [&] { return Ready(stop_); });
     return !stop_;
   }
-  bool SleepFor(double seconds) {
-    return SleepUntil(Clock::now() +
-                      std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(seconds)));
+  bool SleepFor(double seconds) { return SleepUntil(After(seconds)); }
+
+  /// The time point `seconds` from now.
+  static Clock::time_point After(double seconds) {
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
   }
 
   /// Test seam: runs inside every wait, under the mutex, each time the

@@ -108,6 +108,7 @@ FaultInjector::Fire FaultInjector::Evaluate(std::string_view point) {
     fired = fired || chance;
     if (!fired) return fire;
     ++p.fires;
+    ++p.lifetime_fires;
     fire.fired = true;
     fire.value = p.spec.value;
     trace_name = p.name;
@@ -142,6 +143,7 @@ std::vector<FaultInjector::PointStats> FaultInjector::Stats() const {
     stats.point = p.name;
     stats.evaluations = p.evaluations;
     stats.fires = p.fires;
+    stats.lifetime_fires = p.lifetime_fires;
     out.push_back(stats);
   }
   return out;

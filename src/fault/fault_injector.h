@@ -174,7 +174,8 @@ class FaultInjector {
   struct PointStats {
     const char* point = nullptr;
     std::uint64_t evaluations = 0;
-    std::uint64_t fires = 0;
+    std::uint64_t fires = 0;  // since the point was last armed
+    std::uint64_t lifetime_fires = 0;  // never reset, not even by Arm()
   };
 
   /// Stats for every point ever armed (alive through Disarm, so chaos
@@ -196,6 +197,7 @@ class FaultInjector {
     Rng rng{0};
     std::uint64_t evaluations = 0;
     std::uint64_t fires = 0;
+    std::uint64_t lifetime_fires = 0;
     std::size_t next_scheduled = 0;  // cursor into spec.schedule
   };
 

@@ -41,11 +41,6 @@ ResilientClient::~ResilientClient() { Stop(); }
 
 void ResilientClient::Stop() {
   wake_.RequestStop();
-  {
-    // Under mu_, so a WaitForSequence() about to block still wakes.
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_.notify_all();
-  }
   if (worker_.joinable()) worker_.join();
 }
 
@@ -61,10 +56,15 @@ std::uint64_t ResilientClient::sequence() const {
 
 bool ResilientClient::WaitForSequence(std::uint64_t min_sequence,
                                       double timeout_s) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return cv_.wait_for(lock, std::chrono::duration<double>(timeout_s), [&] {
-    return mirror_.sequence() >= min_sequence || wake_.stop_requested();
-  }) && mirror_.sequence() >= min_sequence;
+  const auto deadline = Wakeup::After(timeout_s);
+  std::uint64_t seen = 0;
+  while (sequence() < min_sequence) {
+    if (Wakeup::Clock::now() >= deadline ||
+        !wake_.WaitUntil(&seen, deadline)) {
+      return sequence() >= min_sequence;
+    }
+  }
+  return true;
 }
 
 void ResilientClient::PublishMirror(const SnapshotView& view) {
@@ -72,7 +72,7 @@ void ResilientClient::PublishMirror(const SnapshotView& view) {
     std::lock_guard<std::mutex> lock(mu_);
     mirror_ = view;
   }
-  cv_.notify_all();
+  wake_.Notify();  // WaitForSequence() callers; the worker ignores it
 }
 
 bool ResilientClient::SleepBackoff(double* backoff_s) {

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -125,7 +124,9 @@ class ResilientClient {
   const Options options_;
   Rng rng_;
 
-  Wakeup wake_;  // the worker's backoff sleep and stop flag
+  // The worker's backoff sleep and stop flag; its epoch counts mirror
+  // publishes for WaitForSequence() (backoff sleeps ignore Notify()).
+  Wakeup wake_;
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> resubscribes_{0};
@@ -133,9 +134,7 @@ class ResilientClient {
   std::uint64_t connects_total_ = 0;   // worker thread only
   std::uint64_t subscribes_total_ = 0;  // worker thread only
 
-  // WaitForSequence() waits on data, not work or stop: its own cv.
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   SnapshotView mirror_;  // guarded by mu_
 
   service::Counter* reconnects_counter_ = nullptr;

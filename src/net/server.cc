@@ -279,6 +279,7 @@ void PiServer::LoopThread() {
     }
     if (fault_ != nullptr && fault_->enabled()) EvaluateConnFaults();
   }
+  drain_wake_.Notify();  // a Drain() caller sees running_ cleared
 }
 
 void PiServer::AcceptPending() {
@@ -734,18 +735,16 @@ Status PiServer::Drain(double timeout_s) {
       drains_done_.load(std::memory_order_acquire) + 1;
   drain_requested_.store(true, std::memory_order_release);
   waker_.Signal();
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
+  const auto deadline = Wakeup::After(timeout_s);
+  std::uint64_t seen = 0;
   while (drains_done_.load(std::memory_order_acquire) < target) {
     if (!running_.load(std::memory_order_acquire)) {
       return Status::FailedPrecondition("server stopped during drain");
     }
-    if (std::chrono::steady_clock::now() >= deadline) {
+    if (Wakeup::Clock::now() >= deadline) {
       return Status::Internal("drain timed out waiting for the event loop");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    drain_wake_.WaitUntil(&seen, deadline);
   }
   return Status::OK();
 }
@@ -774,6 +773,7 @@ void PiServer::DrainOnLoop() {
     CloseConnection(id, /*count_dropped=*/false);
   }
   drains_done_.fetch_add(1, std::memory_order_acq_rel);
+  drain_wake_.Notify();
 }
 
 void PiServer::EvaluateConnFaults() {

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/wakeup.h"
 #include "net/conn.h"
 #include "net/fanout.h"
 #include "net/http_export.h"
@@ -216,6 +217,8 @@ class PiServer {
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_requested_{false};
   std::atomic<std::uint64_t> drains_done_{0};
+  // Notified after each DrainOnLoop() and when the loop thread exits.
+  Wakeup drain_wake_;
   std::thread loop_;
 
   // Loop-thread-only state.

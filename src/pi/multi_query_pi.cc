@@ -38,13 +38,10 @@ MultiQueryPi::MultiQueryPi(const sched::Rdbms* db,
       future_(future),
       tracer_(obs::GlobalTracer()),
       rate_(options.rate_alpha),
-      last_observed_now_(db->now()) {
-  // Queries already in the system are current load, not "arrivals";
-  // only queries submitted after the PI attaches feed the future model.
-  for (const auto& info : db_->AllQueries()) {
-    last_seen_id_ = std::max(last_seen_id_, info.id);
-  }
-}
+      last_observed_now_(db->now()),
+      // Queries already in the system are current load, not
+      // "arrivals"; only later submissions feed the future model.
+      last_seen_id_(db->last_query_id()) {}
 
 void MultiQueryPi::AttachLifecycleEvents(sched::Rdbms* db) {
   if (!MQPI_DCHECK(db == db_)) return;
@@ -174,7 +171,8 @@ void MultiQueryPi::SyncEngine(
   engine_load_epoch_ = db_load;
 }
 
-void MultiQueryPi::ObserveStep() {
+void MultiQueryPi::ObserveStep(
+    const std::vector<sched::QueryInfo>& running) {
   const SimTime now = db_->now();
   const SimTime since = std::max(0.0, now - last_observed_now_);
   last_observed_now_ = now;
@@ -195,7 +193,6 @@ void MultiQueryPi::ObserveStep() {
   // Accumulate consumption across running queries; emit one rate
   // sample per full window (per-quantum totals are too noisy because
   // operators overshoot their budget by up to one probe).
-  const auto running = db_->RunningQueries();
   WorkUnits consumed = 0.0;
   SimTime dt = 0.0;
   for (const auto& info : running) {
@@ -242,14 +239,14 @@ void MultiQueryPi::ObserveStep() {
   // `running` infos already fetched for the rate measurement.
   if (options_.enable_incremental) SyncEngine(running);
 
-  // Detect arrivals (ids above the watermark) for the future model.
+  // Arrivals for the future model: the ids issued since the watermark
+  // (dense, so no walk over the query history).
   if (future_ != nullptr) {
-    for (const auto& info : db_->AllQueries()) {
-      if (info.id > last_seen_id_) {
-        last_seen_id_ = info.id;
-        future_->ObserveArrival(info.arrival_time, info.optimizer_cost,
-                                info.weight);
-      }
+    for (; last_seen_id_ < db_->last_query_id(); ++last_seen_id_) {
+      auto info = db_->info(last_seen_id_ + 1);
+      if (!MQPI_DCHECK(info.ok())) continue;
+      future_->ObserveArrival(info->arrival_time, info->optimizer_cost,
+                              info->weight);
     }
     future_->ObserveElapsed(now);
   }

@@ -90,25 +90,27 @@ class MultiQueryPi {
   /// instead of resynchronizing each quantum. Optional: without it the
   /// engine still resyncs from ObserveStep whenever the structural
   /// epoch moves. The PI must outlive any stepping of `db` once
-  /// attached (same contract as PiManager's auto-track listener).
+  /// attached.
   void AttachLifecycleEvents(sched::Rdbms* db);
 
   /// Samples the system after each scheduler step: measures the
-  /// aggregate processing rate and feeds observed arrivals to the
-  /// future-workload model. Idle quanta reset the partially filled
-  /// rate window (a pre-gap partial window must not be concatenated
-  /// with post-gap samples), and an idle stretch of at least one full
-  /// rate window flushes the smoothed rate entirely so post-idle
-  /// forecasts restart from the configured rate instead of a stale
-  /// pre-idle measurement.
-  void ObserveStep();
+  /// aggregate processing rate and feeds the queries submitted since
+  /// the last call to the future-workload model. Idle quanta reset the
+  /// partially filled rate window (a pre-gap partial window must not
+  /// be concatenated with post-gap samples), and an idle stretch of at
+  /// least one full rate window flushes the smoothed rate entirely so
+  /// post-idle forecasts restart from the configured rate instead of
+  /// a stale pre-idle measurement. `running` must be this quantum's
+  /// db->RunningQueries(); PiManager fetches it once for both PIs.
+  void ObserveStep(const std::vector<sched::QueryInfo>& running);
+  void ObserveStep() { ObserveStep(db_->RunningQueries()); }
 
   /// Predicted remaining execution time of `id` (0 if finished,
   /// kInfiniteTime if blocked or unbounded).
   Result<SimTime> EstimateRemainingTime(QueryId id) const;
 
   /// Same, for a caller that already holds the query's info — the
-  /// batched path used by PiManager's report and sampling loops (no
+  /// batched path used by snapshot builds and trace sampling (no
   /// per-call Rdbms::info lookup). When the incremental fast path is
   /// available — engine synchronized with the Rdbms epochs, admission
   /// queue empty (or ignored), no virtual arrival due before the
@@ -291,7 +293,7 @@ class MultiQueryPi {
   SimTime window_elapsed_ = 0.0;
   SimTime idle_elapsed_ = 0.0;  // consecutive idle time observed
   SimTime last_observed_now_ = 0.0;
-  QueryId last_seen_id_ = 0;  // arrival detection watermark
+  QueryId last_seen_id_;  // newest id already fed to the future model
 
   // Memoization state. Mutable: estimate entry points are logically
   // const reads. The PI shares the Rdbms's external-synchronization

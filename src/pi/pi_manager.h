@@ -1,15 +1,16 @@
 // PiManager: the serving progress indicator of one Rdbms — one
-// MultiQueryPi plus a single-query speed EWMA per tracked query. It
-// answers current estimates only; estimate traces over time (Figures
-// 3-5) are recorded by the experiment harness, sim::SimulationRunner.
+// MultiQueryPi plus a single-query speed EWMA per query. It answers
+// current estimates only; estimate traces over time (Figures 3-5) are
+// recorded by the experiment harness, sim::SimulationRunner.
 //
-// Call AfterStep() once after every Rdbms::Step quantum; it feeds the
-// multi-query PI and every tracked single-query PI.
+// Its inputs are the Rdbms lifecycle events and the queries holding a
+// slot: every query submitted after the manager attaches gets its
+// single-query PI at submission, AfterStep() observes the running and
+// blocked queries, and a query's finish or abort event delivers its
+// final observation. No per-quantum work touches finished queries.
 #pragma once
 
-#include <map>
-#include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "common/units.h"
 #include "pi/multi_query_pi.h"
@@ -27,41 +28,28 @@ struct PiManagerOptions {
   MultiQueryPiOptions multi;
   /// Sliding-window span for single-query speed samples (seconds).
   SimTime single_speed_window = 2.0;
-  /// Automatically Track() every query submitted after the manager
-  /// attaches (uses the Rdbms event stream).
-  bool auto_track = false;
 };
 
 class PiManager {
  public:
   /// `db` and `future` (optional) must outlive the manager. The
-  /// manager registers an event listener on `db` when auto_track is
-  /// set, so it must also outlive any stepping of `db`.
+  /// manager listens to `db`'s events, so it must also outlive any
+  /// stepping of `db`.
   PiManager(sched::Rdbms* db, PiManagerOptions options = {},
             FutureWorkloadModel* future = nullptr);
-
-  /// Starts observing a query's speed for its single-query PI.
-  /// Idempotent; re-tracking an already tracked query keeps its
-  /// observation history.
-  void Track(QueryId id);
 
   /// Feeds the PIs; call after every Step quantum.
   void AfterStep();
 
-  /// Current single-query estimate. Untracked or finished ids are not
-  /// an error: they report kUnknown (no observation history), so
-  /// concurrent callers — e.g. service sessions polling arbitrary
-  /// ids — need no Track()-before-sample ordering.
+  /// Current single-query estimate. Ids the manager never saw
+  /// submitted are not an error: they report kUnknown (no observation
+  /// history), so concurrent callers — e.g. service sessions polling
+  /// arbitrary ids — need no ordering against submission.
   Result<SimTime> EstimateSingle(QueryId id) const;
 
-  /// Smoothed observed speed of a tracked query (U/s); 0 if untracked
-  /// or not yet observed.
+  /// Smoothed observed speed of a query (U/s); 0 if unknown or not yet
+  /// observed.
   double SpeedOf(QueryId id) const;
-
-  /// Current multi-query estimate.
-  Result<SimTime> EstimateMulti(QueryId id) const {
-    return multi_.EstimateRemainingTime(id);
-  }
 
   MultiQueryPi* multi() { return &multi_; }
   const MultiQueryPi* multi() const { return &multi_; }
@@ -71,29 +59,14 @@ class PiManager {
     multi_.SetFaultInjector(injector);
   }
 
-  /// One dashboard row per live query — the classic progress-indicator
-  /// GUI payload (percent done + ETA), with both estimators side by
-  /// side. Covers every non-terminal query in the system, tracked or
-  /// not (untracked queries report kUnknown for the single-query ETA,
-  /// which needs an observation history).
-  struct ProgressRow {
-    QueryId id = kInvalidQueryId;
-    std::string label;
-    sched::QueryState state = sched::QueryState::kQueued;
-    /// completed / (completed + estimated remaining), in [0, 1].
-    double fraction_done = 0.0;
-    double speed = 0.0;            // smoothed U/s (tracked queries)
-    SimTime eta_single = kUnknown;
-    SimTime eta_multi = kUnknown;
-  };
-  std::vector<ProgressRow> Report() const;
-
  private:
+  void OnQueryEvent(const sched::QueryEvent& event);
+
   const sched::Rdbms* db_;
   PiManagerOptions options_;
   obs::Tracer* tracer_;  // the process-wide tracer, cached
   MultiQueryPi multi_;
-  std::map<QueryId, SingleQueryPi> singles_;
+  std::unordered_map<QueryId, SingleQueryPi> singles_;
 };
 
 }  // namespace mqpi::pi

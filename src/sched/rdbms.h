@@ -208,6 +208,11 @@ class Rdbms {
   std::vector<QueryInfo> QueuedQueries() const;    // admission-queue order
   std::vector<QueryInfo> AllQueries() const;
 
+  /// The newest query id issued (0 before the first submission). Ids
+  /// are dense: Submit() takes the next id only once planning
+  /// succeeded, so every id in [1, last_query_id()] names a query.
+  QueryId last_query_id() const { return next_id_ - 1; }
+
   int num_running() const { return static_cast<int>(running_.size()); }
   int num_queued() const { return static_cast<int>(admission_queue_.size()); }
   bool Idle() const;

@@ -25,11 +25,6 @@ double MsSince(WallClock::time_point start) {
       .count();
 }
 
-pi::PiManagerOptions ForceAutoTrack(pi::PiManagerOptions options) {
-  options.auto_track = true;
-  return options;
-}
-
 /// The scheduler stamps finish times at quantum ends and estimates are
 /// sampled once per published snapshot, so truth and estimate are each
 /// only known to quantum resolution; score only the error above that.
@@ -70,8 +65,8 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
                   : std::make_unique<pi::FutureWorkloadModel>(
                         options_.future_prior);
   }
-  pis_ = std::make_unique<pi::PiManager>(
-      db_.get(), ForceAutoTrack(options_.pi), future_.get());
+  pis_ = std::make_unique<pi::PiManager>(db_.get(), options_.pi,
+                                         future_.get());
   if (fault_ != nullptr) {
     db_->SetFaultInjector(fault_);
     pis_->SetFaultInjector(fault_);
@@ -738,19 +733,21 @@ void PiService::SyncPiCountersLocked() {
     sync.seen = total;
   }
   if (fault_ == nullptr) return;
-  // Per-point fire counts, labeled by fault-point name. The catalog
-  // names are string literals with stable addresses, so the seen-map
-  // can key on the pointer.
+  // Per-point fire counts, labeled by fault-point name and diffed
+  // against each point's lifetime count (a re-Arm() restarts `fires`).
+  // The catalog names are string literals with stable addresses, so
+  // the seen-map can key on the pointer.
   for (const auto& stat : fault_->Stats()) {
     std::uint64_t* seen = &seen_fault_fires_[stat.point];
-    if (stat.fires > *seen) {
+    if (stat.lifetime_fires > *seen) {
+      const std::uint64_t fired = stat.lifetime_fires - *seen;
       metrics_.counter("fault.injected", {{"point", stat.point}})
-          ->Increment(stat.fires - *seen);
+          ->Increment(fired);
       if (flight_.enabled()) {
         flight_.Record(obs::FlightEventKind::kFault, "fault", stat.point,
-                       static_cast<double>(stat.fires - *seen));
+                       static_cast<double>(fired));
       }
-      *seen = stat.fires;
+      *seen = stat.lifetime_fires;
     }
   }
 }
@@ -883,6 +880,7 @@ void PiService::Stop() {
   if (watchdog_.joinable()) watchdog_.join();
   watchdog_ = std::thread();
   StopTickerThread();
+  idle_wake_.Notify();  // WaitUntilIdle() callers re-check the stop
 }
 
 void PiService::StartTickerThread() {
@@ -934,6 +932,9 @@ void PiService::TickerLoop() {
       idle = IdleLocked();
     }
     if (idle) {
+      // A session abort can make the system idle without a publish;
+      // this check is where the ticker sees it.
+      idle_wake_.Notify();
       ticker_wake_.Wait(&seen);
       // Don't try to "catch up" wall time spent parked.
       next_tick = WallClock::now();
@@ -1045,9 +1046,8 @@ Result<SimTime> PiService::AdvanceUntilIdle(SimTime deadline) {
 }
 
 bool PiService::WaitUntilIdle(double timeout_seconds) {
-  const auto deadline =
-      WallClock::now() + std::chrono::duration_cast<WallClock::duration>(
-                             std::chrono::duration<double>(timeout_seconds));
+  const auto deadline = Wakeup::After(timeout_seconds);
+  std::uint64_t seen = 0;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(state_mu_);
@@ -1059,8 +1059,8 @@ bool PiService::WaitUntilIdle(double timeout_seconds) {
       std::lock_guard<std::mutex> lock(state_mu_);
       return IdleLocked();
     }
-    if (WallClock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (Wakeup::Clock::now() >= deadline) return false;
+    idle_wake_.WaitUntil(&seen, deadline);
   }
 }
 

@@ -1,12 +1,12 @@
 // PiService: the concurrent multi-session frontend over the engine —
 // the first step from "simulator" to "server".
 //
-// One PiService owns an Rdbms, a PiManager (auto-tracking every
-// submission), an optional FutureWorkloadModel, and a MetricsRegistry,
-// and drives them from a dedicated *ticker thread*: each tick advances
-// the simulated clock by one quantum (paced against wall time by
-// `time_scale`, or flat out when it is 0), feeds the progress
-// indicators, and publishes an immutable ProgressSnapshot.
+// One PiService owns an Rdbms, a PiManager (a single-query PI for
+// every submission), an optional FutureWorkloadModel, and a
+// MetricsRegistry, and drives them from a dedicated *ticker thread*:
+// each tick advances the simulated clock by one quantum (paced against
+// wall time by `time_scale`, or flat out when it is 0), feeds the
+// progress indicators, and publishes an immutable ProgressSnapshot.
 //
 // Thread-safety contract:
 //   - All engine and PI state is guarded by one internal mutex
@@ -90,8 +90,8 @@ struct WatchdogOptions {
 struct PiServiceOptions {
   /// Engine configuration (rate C, quantum, MPL, perturbations...).
   sched::RdbmsOptions rdbms;
-  /// Progress-indicator configuration; `auto_track` is forced on so
-  /// every submission gets a single-query PI.
+  /// Progress-indicator configuration (every submission gets its
+  /// single-query PI).
   pi::PiManagerOptions pi;
   /// §2.4 prior (lambda, c-bar, p-bar); lambda == 0 disables arrival
   /// forecasting entirely.
@@ -418,6 +418,9 @@ class PiService {
   // and the owner thread (Start/Stop/Advance/ticking) both touch it.
   Wakeup ticker_wake_;
   Wakeup watchdog_wake_;
+  // Notified when the ticker finds the system idle and on Stop():
+  // what WaitUntilIdle() waits for.
+  Wakeup idle_wake_;
   mutable std::mutex ticker_mu_;
   std::thread ticker_;    // guarded by ticker_mu_
   std::thread watchdog_;  // managed by Start/Stop only

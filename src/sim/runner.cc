@@ -57,7 +57,6 @@ void SimulationRunner::StepFor(SimTime dt) {
 }
 
 void SimulationRunner::Track(QueryId id) {
-  pis_->Track(id);
   traces_[id];  // create an empty trace
 }
 

@@ -71,8 +71,9 @@ class SimulationRunner {
   /// due arrivals, feeding the PIs and recording due trace samples.
   void StepFor(SimTime dt);
 
-  /// Tracks `id` in the PiManager (required) and starts its trace.
-  /// Samples due before the first Track() call are absent from it.
+  /// Starts recording the trace of `id` (a PiManager is required;
+  /// it already observes every query). Samples due before the first
+  /// Track() call are absent from the trace.
   void Track(QueryId id);
 
   /// The recorded trace of a tracked query (empty if never sampled).

@@ -96,9 +96,11 @@ Result<MaintenancePlan> WlmAdvisor::PrepareMaintenance(
       };
       std::vector<Hopeless> hopeless;
       for (const auto& info : db_->RunningQueries()) {
-        auto estimate = pis->EstimateSingle(info.id);
-        if (!estimate.ok()) continue;  // untracked: leave it alone
-        if (*estimate > deadline) {
+        // A query submitted before `pis` attached has no single-query
+        // PI; its kUnknown never exceeds the deadline, so it stays.
+        const SimTime estimate =
+            pis->EstimateSingle(info.id).value_or(kUnknown);
+        if (estimate > deadline) {
           hopeless.push_back(Hopeless{
               info.id, info.estimated_remaining_cost,
               metric == LossMetric::kCompletedWork

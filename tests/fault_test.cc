@@ -483,6 +483,29 @@ TEST(ServiceDegradationTest, PublishNowPublishesPiCounterDeltas) {
   EXPECT_GT(floor_hits->value(), before);
 }
 
+TEST(ServiceDegradationTest, FaultInjectedCountsFiresAcrossReArm) {
+  // Re-arming a point restarts its per-arm fire count; the registry's
+  // fault.injected must still count every fire.
+  storage::Catalog catalog;
+  FaultInjector injector;
+  auto options = ManualServiceOptions();
+  options.fault = &injector;
+  service::PiService service(&catalog, options);
+  auto injected = [&] {
+    return service.metrics()
+        ->counter("fault.injected", {{"point", fault::kPiCacheInvalidate}})
+        ->value();
+  };
+  const SimTime five_quanta = 5 * options.rdbms.quantum;
+  // The PI evaluates pi.cache_invalidate once per quantum.
+  injector.ArmSchedule(fault::kPiCacheInvalidate, {0, 1, 2});
+  ASSERT_TRUE(service.Advance(five_quanta).ok());
+  EXPECT_EQ(injected(), 3u);
+  injector.ArmSchedule(fault::kPiCacheInvalidate, {0, 1});
+  ASSERT_TRUE(service.Advance(five_quanta).ok());
+  EXPECT_EQ(injected(), 5u);
+}
+
 TEST(ServiceWatchdogTest, RestartsAStalledTickerAndDrains) {
   storage::Catalog catalog;
   FaultInjector injector;

@@ -1,6 +1,6 @@
 // Tests for the smaller library features: per-query I/O statistics,
-// PiManager auto-tracking, schedule serialization, and buffer-account
-// hit accounting.
+// PiManager's per-submission single-query PIs, schedule serialization,
+// and buffer-account hit accounting.
 
 #include <gtest/gtest.h>
 
@@ -65,7 +65,7 @@ TEST(IoStatsTest, BufferAccountHitAccounting) {
   EXPECT_DOUBLE_EQ(account.hit_rate(), 0.2);
 }
 
-// ---- auto-track -----------------------------------------------------------------
+// ---- single-query PIs from submission ---------------------------------------
 
 TEST(AutoTrackTest, TracksSubmissionsAutomatically) {
   storage::Catalog catalog;
@@ -73,16 +73,13 @@ TEST(AutoTrackTest, TracksSubmissionsAutomatically) {
   options.processing_rate = 100.0;
   options.quantum = 0.1;
   sched::Rdbms db(&catalog, options);
-  pi::PiManager pis(&db, {.multi = {},
-                          .single_speed_window = 0.5,
-                          .auto_track = true});
+  pi::PiManager pis(&db, {.multi = {}, .single_speed_window = 0.5});
   sim::SimulationRunner runner(&db, &pis);
   auto a = db.Submit(QuerySpec::Synthetic(200.0));
   auto b = db.Submit(QuerySpec::Synthetic(200.0));
   ASSERT_TRUE(b.ok());
   for (int i = 0; i < 15; ++i) runner.StepFor(options.quantum);
-  // Both queries were tracked without explicit Track() calls: their
-  // single-query PIs observed a speed.
+  // Every submission gets a single-query PI: both observed a speed.
   EXPECT_GT(pis.SpeedOf(*a), 0.0);
   EXPECT_GT(pis.SpeedOf(*b), 0.0);
   EXPECT_TRUE(pis.EstimateSingle(*a).ok());

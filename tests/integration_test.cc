@@ -209,7 +209,6 @@ TEST_F(IntegrationTest, MaintenanceMultiPiBeatsSinglePi) {
       const int rank = 2 + (i % 4) * 2;
       auto id = db->Submit(fixture_->workload->SpecForRank(rank));
       ASSERT_TRUE(id.ok());
-      pis->Track(*id);
       ids->push_back(*id);
     }
     for (int step = 0; step < 40; ++step) {

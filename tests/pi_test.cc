@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 
 #include "pi/future_model.h"
 #include "pi/multi_query_pi.h"
@@ -290,13 +291,123 @@ TEST(PiManagerTest, UntrackedQueryReportsUnknown) {
   storage::Catalog catalog;
   sched::Rdbms db(&catalog, CleanOptions());
   PiManager pis(&db);
-  // Untracked ids are not an error — they report "unknown" so callers
-  // need no Track()-before-sample ordering (service sessions poll
+  // Ids never submitted are not an error — they report "unknown" so
+  // callers need no ordering against submission (service sessions poll
   // arbitrary ids).
   auto untracked = pis.EstimateSingle(77);
   ASSERT_TRUE(untracked.ok());
   EXPECT_EQ(*untracked, kUnknown);
   EXPECT_EQ(pis.SpeedOf(77), 0.0);
+}
+
+// The per-quantum algorithm PiManager replaced, kept as the reference:
+// one SingleQueryPi per submitted id, each fed Observe(db.info(id))
+// every quantum, finished and aborted queries included.
+class ReferenceSingles {
+ public:
+  explicit ReferenceSingles(SimTime window) : window_(window) {}
+  void Add(QueryId id) {
+    pis_.emplace(id, SingleQueryPi(id, /*speed_alpha=*/0.3, window_));
+  }
+  void AfterStep(const sched::Rdbms& db) {
+    for (auto& [id, pi] : pis_) pi.Observe(*db.info(id), db.now());
+  }
+  // Every reference estimate and speed against the manager's, compared
+  // as doubles.
+  ::testing::AssertionResult Matches(const PiManager& pis) const {
+    for (const auto& [id, pi] : pis_) {
+      const SimTime eta = pis.EstimateSingle(id).value_or(kUnknown);
+      if (eta != pi.EstimateRemainingTime() || pis.SpeedOf(id) != pi.speed()) {
+        return ::testing::AssertionFailure()
+               << "query " << id << ": eta " << eta << " vs "
+               << pi.EstimateRemainingTime() << ", speed " << pis.SpeedOf(id)
+               << " vs " << pi.speed();
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+ private:
+  SimTime window_;
+  std::map<QueryId, SingleQueryPi> pis_;
+};
+
+TEST(PiManagerTest, SingleQueryPisMatchPerQuantumReference) {
+  // PiManager observes only slot holders each quantum and takes each
+  // query's final state from its finish/abort event. That must give
+  // bit-identical single-query estimates and speeds to observing every
+  // query ever submitted every quantum.
+  storage::Catalog catalog;
+  auto options = CleanOptions();
+  options.max_concurrent = 3;  // an MPL cap, so queries queue
+  sched::Rdbms db(&catalog, options);
+  constexpr SimTime kWindow = 0.2;  // 4 quanta per speed sample
+  PiManager pis(&db, {.multi = {}, .single_speed_window = kWindow});
+  ReferenceSingles reference(kWindow);
+
+  auto submit = [&](double cost) {
+    auto id = db.Submit(QuerySpec::Synthetic(cost));
+    EXPECT_TRUE(id.ok());
+    reference.Add(*id);
+    return *id;
+  };
+  int quanta = 0;
+  auto step = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      db.Step();
+      pis.AfterStep();
+      reference.AfterStep(db);
+      ++quanta;
+      EXPECT_TRUE(reference.Matches(pis)) << "after quantum " << quanta;
+    }
+  };
+  auto state = [&](QueryId id) { return db.info(id)->state; };
+
+  const QueryId a = submit(400.0);
+  const QueryId b = submit(300.0);
+  const QueryId c = submit(200.0);
+  const QueryId d = submit(150.0);
+  const QueryId e = submit(100.0);
+  ASSERT_EQ(state(d), sched::QueryState::kQueued);
+  ASSERT_EQ(state(e), sched::QueryState::kQueued);
+  step(6);
+
+  // Block and resume within one gap: no quantum sees `a` blocked.
+  ASSERT_TRUE(db.Block(a).ok());
+  ASSERT_TRUE(db.Resume(a).ok());
+  ASSERT_TRUE(db.SetPriority(b, Priority::kHigh).ok());
+  step(6);
+
+  // A block held across quanta, then a resume.
+  ASSERT_TRUE(db.Block(c).ok());
+  step(3);
+  ASSERT_TRUE(db.Resume(c).ok());
+  step(5);
+
+  // Another held block, then aborts of a queued, a blocked and a
+  // running query (the blocked one's slot admits `d`).
+  ASSERT_TRUE(db.Block(b).ok());
+  step(5);
+  ASSERT_TRUE(db.Abort(e).ok());  // queued
+  ASSERT_TRUE(db.Abort(b).ok());  // blocked
+  ASSERT_EQ(state(d), sched::QueryState::kRunning);
+  step(5);
+  ASSERT_TRUE(db.FastForward(c, 10.0).ok());   // survives
+  ASSERT_TRUE(db.FastForward(d, 1e6).ok());    // finishes at once
+  ASSERT_EQ(state(d), sched::QueryState::kFinished);
+  step(3);
+  ASSERT_TRUE(db.Abort(a).ok());  // running
+  const QueryId f = submit(50.0);
+  const QueryId g = submit(1e4);
+  step(80);  // c and f finish mid-quantum; g runs on
+
+  EXPECT_EQ(state(c), sched::QueryState::kFinished);
+  EXPECT_EQ(state(f), sched::QueryState::kFinished);
+  EXPECT_EQ(state(g), sched::QueryState::kRunning);
+  EXPECT_EQ(*pis.EstimateSingle(c), 0.0);
+  EXPECT_GT(pis.SpeedOf(a), 0.0);  // aborted, but its history stays
+  EXPECT_GT(pis.SpeedOf(g), 0.0);
+  EXPECT_LT(*pis.EstimateSingle(g), kInfiniteTime);
 }
 
 TEST(PiManagerTest, QueueBlindVariantRecorded) {
@@ -535,11 +646,12 @@ TEST(PiManagerTest, OneForecastPerQuantumWhenSampling) {
   const MultiQueryPi* multi = pis.multi();
   EXPECT_LE(multi->forecast_cache_misses(), 11u);
   EXPECT_GE(multi->forecast_cache_hits(), 20u * 10u - 11u);
-  // A full report right now costs zero extra simulations: the epoch
-  // has not moved since the last sample.
+  // A full pass over every query right now costs zero extra
+  // simulations: the epoch has not moved since the last sample.
   const std::uint64_t misses_before = multi->forecast_cache_misses();
-  const auto rows = pis.Report();
-  EXPECT_EQ(rows.size(), 20u);
+  for (const auto& info : db.AllQueries()) {
+    EXPECT_TRUE(multi->EstimateRemainingTime(info).ok());
+  }
   EXPECT_EQ(multi->forecast_cache_misses(), misses_before);
 }
 
@@ -567,8 +679,9 @@ TEST(PiManagerTest, SteadyStateSamplingNeedsNoSimulationAtAll) {
   EXPECT_LE(multi->incremental_fallback(), 20u * 1u);
   const std::uint64_t fallback_before = multi->incremental_fallback();
   const std::uint64_t misses_before = multi->forecast_cache_misses();
-  const auto rows = pis.Report();
-  EXPECT_EQ(rows.size(), 20u);
+  for (const auto& info : db.AllQueries()) {
+    EXPECT_TRUE(multi->EstimateRemainingTime(info).ok());
+  }
   EXPECT_EQ(multi->incremental_fallback(), fallback_before);
   EXPECT_EQ(multi->forecast_cache_misses(), misses_before);
 }

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "pi/pi_manager.h"
 #include "sim/trace.h"
 #include "storage/catalog.h"
 
@@ -132,48 +131,6 @@ TEST_F(EventTraceTest, EventsOrderedByTime) {
     prev = event.time;
   }
   EXPECT_EQ(trace.Filter(QueryEventKind::kFinished).size(), 5u);
-}
-
-// ---- PiManager::Report --------------------------------------------------------------
-
-TEST_F(EventTraceTest, ProgressReportRows) {
-  options_.max_concurrent = 2;
-  sched::Rdbms db(&catalog_, options_);
-  pi::PiManager pis(&db, {.multi = {}, .single_speed_window = 0.5});
-  auto a = db.Submit(QuerySpec::Synthetic(100.0));
-  auto b = db.Submit(QuerySpec::Synthetic(400.0));
-  auto c = db.Submit(QuerySpec::Synthetic(100.0));  // queued
-  ASSERT_TRUE(c.ok());
-  pis.Track(*a);
-  pis.Track(*b);
-  for (int i = 0; i < 10; ++i) {  // t = 1.0: a is half done, c queued
-    db.Step(options_.quantum);
-    pis.AfterStep();
-  }
-  auto rows = pis.Report();
-  ASSERT_EQ(rows.size(), 3u);
-  for (const auto& row : rows) {
-    if (row.id == *a || row.id == *b) {
-      EXPECT_EQ(row.state, sched::QueryState::kRunning);
-      EXPECT_GT(row.fraction_done, 0.05);
-      EXPECT_LT(row.fraction_done, 1.0);
-      EXPECT_GT(row.speed, 0.0);
-      EXPECT_GT(row.eta_multi, 0.0);
-      EXPECT_LT(row.eta_multi, kInfiniteTime);
-    } else {
-      EXPECT_EQ(row.id, *c);
-      EXPECT_EQ(row.state, sched::QueryState::kQueued);
-      // Untracked: no single-query history.
-      EXPECT_EQ(row.eta_single, kUnknown);
-      // Queue-aware multi still has an ETA for it.
-      EXPECT_GT(row.eta_multi, 0.0);
-    }
-    EXPECT_FALSE(row.label.empty());
-  }
-  // a: ~50 of 100 done at t=1.
-  for (const auto& row : rows) {
-    if (row.id == *a) EXPECT_NEAR(row.fraction_done, 0.5, 0.1);
-  }
 }
 
 }  // namespace

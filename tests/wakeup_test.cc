@@ -125,6 +125,54 @@ TEST(WakeupTest, ResetClearsStopButKeepsTheEpoch) {
   EXPECT_TRUE(wakeup.SleepFor(0.001));  // a plain timeout is not a stop
 }
 
+TEST(WakeupTest, DeadlineWaitReturnsOnNotify) {
+  Wakeup wakeup;
+  std::uint64_t seen = 0;
+  const auto start = Clock::now();
+  std::thread notifier([&] {
+    std::this_thread::sleep_for(20ms);
+    wakeup.Notify();
+  });
+  EXPECT_TRUE(wakeup.WaitUntil(&seen, Wakeup::After(60.0)));
+  notifier.join();
+  EXPECT_EQ(seen, 1u);
+  EXPECT_LT(SecondsSince(start), 30.0);
+}
+
+TEST(WakeupTest, DeadlineWaitReturnsOnStop) {
+  Wakeup wakeup;
+  std::uint64_t seen = 0;
+  const auto start = Clock::now();
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(20ms);
+    wakeup.RequestStop();
+  });
+  EXPECT_FALSE(wakeup.WaitUntil(&seen, Wakeup::After(60.0)));
+  stopper.join();
+  EXPECT_EQ(seen, 0u);
+  EXPECT_LT(SecondsSince(start), 30.0);
+}
+
+TEST(WakeupTest, DeadlineWaitReturnsAtTheDeadline) {
+  Wakeup wakeup;
+  std::uint64_t seen = 0;
+  const auto start = Clock::now();
+  EXPECT_TRUE(wakeup.WaitUntil(&seen, Wakeup::After(0.05)));
+  EXPECT_GE(SecondsSince(start), 0.05);
+  EXPECT_EQ(seen, 0u);
+}
+
+TEST(WakeupTest, NotifyRacingADeadlineWaitIsNotLost) {
+  Wakeup wakeup;
+  std::uint64_t seen = 0;
+  bool work = false;
+  EXPECT_TRUE(WaiterWokenFromInsideTheWait(
+      &wakeup, [&] { work = wakeup.WaitUntil(&seen, Wakeup::After(60.0)); },
+      [&] { wakeup.Notify(); }));
+  EXPECT_TRUE(work);
+  EXPECT_EQ(seen, 1u);
+}
+
 // ---- Start/Stop soaks ---------------------------------------------------------
 //
 // 10k cycles each. A lost stop wakeup in a wait without a timeout

@@ -527,7 +527,6 @@ TEST_F(AdvisorTest, SinglePiMaintenanceOverAborts) {
   for (int i = 0; i < 5; ++i) {
     auto id = db_->Submit(QuerySpec::Synthetic(100.0));
     ids.push_back(*id);
-    pis.Track(*id);
   }
   for (int step = 0; step < 4; ++step) {
     db_->Step(options_.quantum);

@@ -8,17 +8,21 @@
 //     publish costs one pointer swap plus one signal per registered
 //     waker, measured by fanout counters (publish_ops / publishes), so
 //     ticker throughput is flat from 1k to 100k subscribers;
-//   - per-subscriber delta encoding and queueing happens on the pool
-//     workers, and publish->pop latency stays bounded (p50/p99
-//     reported at every scale).
+//   - each frame is encoded once per (base, latest) snapshot pair and
+//     shared by every subscriber at that base (the fanout's frame
+//     memo), so frames encoded per publish are flat in the subscriber
+//     count too; queueing happens on the pool workers, and
+//     publish->pop latency stays bounded (p50/p99 reported at every
+//     scale).
 //
 // Modes:
 //   bench_net_fanout              full sweep at 1k / 10k / 100k
 //                                 subscribers; writes
 //                                 BENCH_net_fanout.json
 //   bench_net_fanout --perfsmoke  fast CI assertion (ctest label
-//                                 "perfsmoke"): ops-per-publish must be
-//                                 byte-identical at 64 and 2048
+//                                 "perfsmoke"): ops-per-publish and
+//                                 frames encoded per paced publish
+//                                 must be identical at 64 and 2048
 //                                 subscribers — counter-based, no
 //                                 wall-clock thresholds, cannot flake
 //                                 on slow machines — and p99 latency
@@ -62,6 +66,11 @@ struct ScaleResult {
   /// counters): 1 swap + 1 signal per waker, independent of the
   /// subscriber count.
   double ops_per_publish = 0.0;
+  /// Frames encoded per publish in the paced phase, where every
+  /// publish is fully delivered before the next: one per distinct
+  /// subscriber base, independent of the subscriber count.
+  double encodes_per_publish = 0.0;
+  std::uint64_t frames_encoded = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t sheds = 0;
 };
@@ -154,6 +163,8 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
   };
 
   // ---- paced phase: publish, then fan in the latency samples ----------------
+  const std::uint64_t encoded0 = server.metrics()->frames_encoded->value();
+  const std::uint64_t publishes0 = server.fanout()->publishes();
   for (int round = 0; round < paced_rounds; ++round) {
     const Status status = service.Advance(options.rdbms.quantum);
     if (!status.ok()) {
@@ -162,6 +173,10 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
     }
     pump_all();
   }
+  result.encodes_per_publish =
+      static_cast<double>(server.metrics()->frames_encoded->value() -
+                          encoded0) /
+      static_cast<double>(server.fanout()->publishes() - publishes0);
   std::vector<double> latencies;
   for (auto& part : thread_latencies) {
     latencies.insert(latencies.end(), part.begin(), part.end());
@@ -185,6 +200,7 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
   result.ops_per_publish =
       static_cast<double>(server.fanout()->publish_ops()) /
       static_cast<double>(server.fanout()->publishes());
+  result.frames_encoded = server.metrics()->frames_encoded->value();
   result.frames_delivered = server.metrics()->frames_sent->value();
   result.sheds = server.metrics()->slow_consumers_shed->value();
 
@@ -209,6 +225,22 @@ int Perfsmoke() {
                  large.ops_per_publish, large.subscribers);
     ok = false;
   }
+  // Encode-once, counter-based: each paced publish is delivered to
+  // every subscriber before the next, so all of them share one base
+  // and one encode — per-subscriber encoding would scale this 32x.
+  if (small.encodes_per_publish != large.encodes_per_publish) {
+    std::fprintf(stderr,
+                 "perfsmoke FAIL: %.3f frames encoded/publish at %d "
+                 "subscribers vs %.3f at %d — subscribers at the same "
+                 "base must share one encode\n",
+                 small.encodes_per_publish, small.subscribers,
+                 large.encodes_per_publish, large.subscribers);
+    ok = false;
+  }
+  if (large.encodes_per_publish <= 0.0) {
+    std::fprintf(stderr, "perfsmoke FAIL: no frame encodes counted\n");
+    ok = false;
+  }
   if (small.sheds != 0 || large.sheds != 0) {
     std::fprintf(stderr, "perfsmoke FAIL: subscribers were shed\n");
     ok = false;
@@ -219,10 +251,11 @@ int Perfsmoke() {
   }
   if (!ok) return 1;
   std::printf(
-      "perfsmoke OK: %.3f fan-out ops/publish at both %d and %d "
-      "subscribers; p99 publish->pop %.0f us at %d subs\n",
-      large.ops_per_publish, small.subscribers, large.subscribers,
-      large.p99_us, large.subscribers);
+      "perfsmoke OK: %.3f fan-out ops/publish and %.3f frames "
+      "encoded/publish at both %d and %d subscribers; p99 "
+      "publish->pop %.0f us at %d subs\n",
+      large.ops_per_publish, large.encodes_per_publish, small.subscribers,
+      large.subscribers, large.p99_us, large.subscribers);
   return 0;
 }
 
@@ -238,7 +271,7 @@ int main(int argc, char** argv) {
       "subscriber count",
       "publish cost is O(1) in subscribers (pointer swap + per-pool "
       "signal), so ticker quanta/sec stays flat while p50/p99 delivery "
-      "latency grows only with per-subscriber encode work on the pool");
+      "latency grows only with per-subscriber queue work on the pool");
 
   const int max_subs = bench::EnvInt("MQPI_NET_SUBS", 100000);
   std::vector<int> scales;
@@ -253,24 +286,27 @@ int main(int argc, char** argv) {
                             {"pool_threads", kPoolThreads},
                             {"consumer_threads", kConsumerThreads}});
 
-  std::printf("%10s %10s %10s %16s %14s %12s\n", "subs", "p50 us", "p99 us",
-              "ticker quanta/s", "ops/publish", "frames");
+  std::printf("%10s %10s %10s %16s %14s %12s %12s\n", "subs", "p50 us",
+              "p99 us", "ticker quanta/s", "ops/publish", "frames",
+              "encoded");
   bool ok = true;
   double first_ops = 0.0;
   for (std::size_t s = 0; s < scales.size(); ++s) {
     const int subscribers = scales[s];
     const int paced = subscribers >= 100000 ? 5 : 10;
     const ScaleResult r = RunScale(subscribers, paced, 50);
-    std::printf("%10d %10.1f %10.1f %16.0f %14.3f %12llu\n", r.subscribers,
-                r.p50_us, r.p99_us, r.ticker_quanta_per_sec,
+    std::printf("%10d %10.1f %10.1f %16.0f %14.3f %12llu %12llu\n",
+                r.subscribers, r.p50_us, r.p99_us, r.ticker_quanta_per_sec,
                 r.ops_per_publish,
-                static_cast<unsigned long long>(r.frames_delivered));
+                static_cast<unsigned long long>(r.frames_delivered),
+                static_cast<unsigned long long>(r.frames_encoded));
     report.AddRow({{"subscribers", r.subscribers},
                    {"p50_us", r.p50_us},
                    {"p99_us", r.p99_us},
                    {"ticker_quanta_per_sec", r.ticker_quanta_per_sec},
                    {"ops_per_publish", r.ops_per_publish},
                    {"frames", r.frames_delivered},
+                   {"frames_encoded", r.frames_encoded},
                    {"sheds", r.sheds}});
     if (s == 0) {
       first_ops = r.ops_per_publish;

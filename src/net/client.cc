@@ -234,6 +234,14 @@ Result<FrameBody> Client::Call(const FrameBody& request, double timeout_s) {
   }
 }
 
+template <typename Reply>
+Result<Reply> Client::CallFor(const FrameBody& request, const char* verb) {
+  auto reply = Call(request);
+  if (!reply.ok()) return reply.status();
+  if (auto* body = std::get_if<Reply>(&*reply)) return std::move(*body);
+  return Status::Internal(std::string("unexpected reply type to ") + verb);
+}
+
 Result<bool> Client::PumpOne(double timeout_s) {
   const double deadline = NowSeconds() + timeout_s;
   for (;;) {
@@ -262,17 +270,13 @@ Result<std::uint64_t> Client::WaitForSequence(std::uint64_t min_sequence,
                                               double timeout_s) {
   const double deadline = NowSeconds() + timeout_s;
   while (view_.sequence() < min_sequence) {
-    const double remaining = deadline - NowSeconds();
-    if (remaining <= 0) {
+    // Errors include the shed goodbye and stream gaps.
+    auto pushed = PumpOne(deadline - NowSeconds());
+    if (!pushed.ok()) return pushed.status();
+    if (!*pushed) {
       return Status::Internal("timed out at sequence " +
                               std::to_string(view_.sequence()));
     }
-    auto frame = ReadFrame(remaining);
-    if (!frame.ok()) return frame.status();
-    if (const auto* error = std::get_if<ErrorReply>(&frame->body)) {
-      return error->ToStatus();  // e.g. the shed goodbye
-    }
-    MQPI_RETURN_NOT_OK(ApplyPush(*frame));
   }
   return view_.sequence();
 }
@@ -282,10 +286,7 @@ Result<QueryId> Client::SubmitSql(const std::string& sql, Priority priority) {
   request.is_sql = true;
   request.sql = sql;
   request.priority = priority;
-  auto reply = Call(FrameBody{std::move(request)});
-  if (!reply.ok()) return reply.status();
-  if (const auto* body = std::get_if<SubmitReply>(&*reply)) return body->id;
-  return Status::Internal("unexpected reply type to SUBMIT");
+  return Submit(std::move(request));
 }
 
 Result<QueryId> Client::SubmitSynthetic(double cost, Priority priority,
@@ -295,52 +296,40 @@ Result<QueryId> Client::SubmitSynthetic(double cost, Priority priority,
   request.synthetic_cost = cost;
   request.label = label;
   request.priority = priority;
-  auto reply = Call(FrameBody{std::move(request)});
+  return Submit(std::move(request));
+}
+
+Result<QueryId> Client::Submit(SubmitRequest request) {
+  auto reply = CallFor<SubmitReply>(FrameBody{std::move(request)}, "SUBMIT");
   if (!reply.ok()) return reply.status();
-  if (const auto* body = std::get_if<SubmitReply>(&*reply)) return body->id;
-  return Status::Internal("unexpected reply type to SUBMIT");
+  return reply->id;
 }
 
 Status Client::Cancel(QueryId id) {
-  auto reply = Call(FrameBody{CancelRequest{id}});
-  return reply.status();
+  return Call(FrameBody{CancelRequest{id}}).status();
 }
 
 Result<ProgressReply> Client::Progress(QueryId id) {
-  auto reply = Call(FrameBody{ProgressRequest{id}});
-  if (!reply.ok()) return reply.status();
-  if (auto* body = std::get_if<ProgressReply>(&*reply)) {
-    return std::move(*body);
-  }
-  return Status::Internal("unexpected reply type to PROGRESS");
+  return CallFor<ProgressReply>(FrameBody{ProgressRequest{id}}, "PROGRESS");
 }
 
 Result<SimTime> Client::WhatIf(const WhatIfRequest& scenario) {
-  auto reply = Call(FrameBody{scenario});
+  auto reply = CallFor<WhatIfReply>(FrameBody{scenario}, "WHATIF");
   if (!reply.ok()) return reply.status();
-  if (const auto* body = std::get_if<WhatIfReply>(&*reply)) return body->eta;
-  return Status::Internal("unexpected reply type to WHATIF");
+  return reply->eta;
 }
 
 Status Client::Ping() {
-  auto reply = Call(FrameBody{PingRequest{0x50494e47u}});
+  auto reply = CallFor<PongReply>(FrameBody{PingRequest{0x50494e47u}}, "PING");
   if (!reply.ok()) return reply.status();
-  if (const auto* body = std::get_if<PongReply>(&*reply)) {
-    if (body->nonce != 0x50494e47u) {
-      return Status::Internal("pong nonce mismatch");
-    }
-    return Status::OK();
+  if (reply->nonce != 0x50494e47u) {
+    return Status::Internal("pong nonce mismatch");
   }
-  return Status::Internal("unexpected reply type to PING");
+  return Status::OK();
 }
 
 Result<StatsReply> Client::Stats() {
-  auto reply = Call(FrameBody{StatsRequest{}});
-  if (!reply.ok()) return reply.status();
-  if (auto* body = std::get_if<StatsReply>(&*reply)) {
-    return std::move(*body);
-  }
-  return Status::Internal("unexpected reply type to STATS");
+  return CallFor<StatsReply>(FrameBody{StatsRequest{}}, "STATS");
 }
 
 Status Client::Subscribe(int shard) {
@@ -358,14 +347,14 @@ Status Client::Unsubscribe() {
 int LocalSubscriber::Pump(std::vector<std::uint64_t>* sequences,
                           bool* shed_out) {
   int applied = 0;
-  std::string bytes;
+  SharedFrame bytes;
   while (subscription_->TryPop(&bytes)) {
     Frame frame;
     std::size_t consumed = 0;
     Status error;
     const DecodeResult r =
-        TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes, &frame,
-                       &consumed, &error);
+        TryDecodeFrame(bytes->data(), bytes->size(), kMaxPayloadBytes,
+                       &frame, &consumed, &error);
     if (r != DecodeResult::kFrame) continue;  // never expected; skip
     if (std::holds_alternative<ErrorReply>(frame.body)) {
       saw_shed_ = true;

@@ -2,7 +2,7 @@
 //
 //   SnapshotView — merges the server's SNAPSHOT_FULL / SNAPSHOT_DELTA
 //   push stream back into a complete progress table (the inverse of
-//   DeltaEncoder). Delta frames must patch the sequence the view
+//   DeltaEncoder::Encode). Delta frames must patch the sequence the view
 //   currently holds (or anything newer than their base); a gap means
 //   frames were lost — the caller resubscribes.
 //
@@ -13,8 +13,8 @@
 //
 //   LocalSubscriber — the no-socket endpoint the 100k-subscriber bench
 //   instantiates in bulk: wraps a SubscriberPool Subscription and
-//   applies its queued wire frames (byte-identical to what a TCP
-//   subscriber would receive) to a SnapshotView.
+//   applies its queued wire frames (shared buffers, byte-identical to
+//   what a TCP subscriber would receive) to a SnapshotView.
 #pragma once
 
 #include <cstdint>
@@ -140,6 +140,10 @@ class Client {
   /// Applies a push frame to the view; resubscribe-on-gap is the
   /// caller's job (the Status surfaces it).
   Status ApplyPush(const Frame& frame);
+  /// Call() expecting a `Reply` body; Internal names `verb` otherwise.
+  template <typename Reply>
+  Result<Reply> CallFor(const FrameBody& request, const char* verb);
+  Result<QueryId> Submit(SubmitRequest request);
 
   int fd_;
   std::string inbuf_;

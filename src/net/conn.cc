@@ -1,10 +1,13 @@
 #include "net/conn.h"
 
+#include <arpa/inet.h>
 #include <errno.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace mqpi::net {
@@ -14,6 +17,35 @@ namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
 
 }  // namespace
+
+Status ListenTcp(const std::string& host, std::uint16_t port, int backlog,
+                 int* fd, std::uint16_t* bound_port) {
+  *fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (*fd < 0) return Status::Internal("socket() failed");
+  const int one = 1;
+  ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  Status status;
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    status = Status::InvalidArgument("bad listen address: " + host);
+  } else if (::bind(*fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+                 0 ||
+             ::listen(*fd, backlog) < 0) {
+    status = Status::Internal(std::string("bind/listen failed: ") +
+                              std::strerror(errno));
+  }
+  if (!status.ok()) {
+    ::close(*fd);
+    *fd = -1;
+    return status;
+  }
+  socklen_t len = sizeof(addr);
+  ::getsockname(*fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  *bound_port = ntohs(addr.sin_port);
+  return Status::OK();
+}
 
 Connection::Connection(int fd, std::uint64_t id, Options options)
     : fd_(fd), id_(id), options_(options) {}
@@ -51,10 +83,8 @@ bool Connection::ReadFrames(std::vector<Frame>* frames) {
     if (r == DecodeResult::kError) {
       // Stream-level corruption: the framing is gone, so answer once
       // and close. QueueFrame never sheds here (queue was just active).
-      ErrorReply goodbye;
-      goodbye.code = error.code();
-      goodbye.message = std::string(error.message());
-      QueueFrame(EncodeFrame(frame.header.request_id, FrameBody{goodbye}));
+      QueueFrame(std::make_shared<const std::string>(EncodeFrame(
+          frame.header.request_id, FrameBody{ErrorReply::From(error)})));
       closing_ = true;
       return true;
     }
@@ -71,25 +101,23 @@ bool Connection::ReadFrames(std::vector<Frame>* frames) {
   return true;
 }
 
-bool Connection::QueueFrame(std::string bytes) {
+bool Connection::QueueFrame(SharedFrame bytes) {
   if (closing_) return true;  // already saying goodbye; drop silently
   if (write_queue_.size() >= options_.write_queue_max_frames ||
-      queued_bytes_ + bytes.size() > options_.write_queue_max_bytes) {
+      queued_bytes_ + bytes->size() > options_.write_queue_max_bytes) {
     // Slow consumer: drop everything pending, say why, close.
     queued_bytes_ = 0;
     write_queue_.clear();
     write_offset_ = 0;
-    ErrorReply goodbye;
-    goodbye.code = StatusCode::kResourceExhausted;
-    goodbye.message = "write queue overflow: consumer too slow";
-    std::string frame = EncodeFrame(0, FrameBody{goodbye});
-    queued_bytes_ = frame.size();
-    write_queue_.push_back(std::move(frame));
+    write_queue_.push_back(std::make_shared<const std::string>(EncodeFrame(
+        0, FrameBody{ErrorReply{StatusCode::kResourceExhausted,
+                                "write queue overflow: consumer too slow"}})));
+    queued_bytes_ = write_queue_.back()->size();
     closing_ = true;
     shed_ = true;
     return false;
   }
-  queued_bytes_ += bytes.size();
+  queued_bytes_ += bytes->size();
   write_queue_.push_back(std::move(bytes));
   stats.queue_hw_frames =
       std::max<std::uint64_t>(stats.queue_hw_frames, write_queue_.size());
@@ -101,7 +129,7 @@ bool Connection::QueueFrame(std::string bytes) {
 bool Connection::FlushWrites(std::size_t max_write_bytes) {
   std::size_t written_this_round = 0;
   while (!write_queue_.empty()) {
-    const std::string& front = write_queue_.front();
+    const std::string& front = *write_queue_.front();
     std::size_t want = front.size() - write_offset_;
     if (max_write_bytes > 0) {
       if (written_this_round >= max_write_bytes) return true;

@@ -17,10 +17,10 @@
 // connection closes once it drains (or immediately if even that can't
 // be written).
 //
-// Subscription state: a subscribed connection carries its own
-// DeltaEncoder; the epoll loop encodes per-connection deltas on each
-// fan-out wakeup (all per-subscriber work stays on the loop thread,
-// never the ticker).
+// Subscription state: a subscribed connection carries a cursor (the
+// snapshot it was last pushed); on each fan-out wakeup the epoll loop
+// queues the fanout's shared frame for that cursor (all per-subscriber
+// work stays on the loop thread, never the ticker).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,12 @@
 #include "service/session.h"
 
 namespace mqpi::net {
+
+/// Opens a nonblocking TCP listener on `host`:`port` (0 = ephemeral)
+/// into `*fd` and reports the bound port; InvalidArgument for a bad
+/// address, Internal when the socket cannot be bound.
+Status ListenTcp(const std::string& host, std::uint16_t port, int backlog,
+                 int* fd, std::uint16_t* bound_port);
 
 class Connection {
  public:
@@ -61,10 +67,10 @@ class Connection {
   /// so the loop flushes it first).
   bool ReadFrames(std::vector<Frame>* frames);
 
-  /// Queues an encoded frame. Returns false when this call overflowed
-  /// the bounded queue and shed the connection (goodbye ERROR frame
-  /// queued, closing() set).
-  bool QueueFrame(std::string bytes);
+  /// Queues an encoded frame (shared, never copied). Returns false
+  /// when this call overflowed the bounded queue and shed the
+  /// connection (goodbye ERROR frame queued, closing() set).
+  bool QueueFrame(SharedFrame bytes);
 
   /// Flushes as much of the write queue as the socket accepts.
   /// `max_write_bytes` > 0 caps this round's total written bytes (the
@@ -86,13 +92,13 @@ class Connection {
   /// Stream scope: -1 = the merged/global stream, >= 0 = that shard's
   /// own publication (see SubscribeRequest::shard).
   int subscribe_shard = -1;
-  DeltaEncoder delta;
   /// Chaos (kNetSlowConsumer): skip this many flush opportunities so
   /// the bounded write queue backs up and sheds.
   int stall_flushes = 0;
-  /// Sequence of the last snapshot pushed (coalescing cursor: spurious
+  /// The last snapshot pushed: the next push's delta base (null = the
+  /// next push is a full frame), and the coalescing cursor (spurious
   /// fan-out wakeups never re-send an already-delivered sequence).
-  std::uint64_t pushed_sequence = 0;
+  service::SnapshotPtr cursor;
 
   /// Lifetime transfer stats, maintained here (frames/bytes/high-water
   /// by the queue and flush paths) and by the server (full vs delta
@@ -116,7 +122,7 @@ class Connection {
   std::string read_buf_;
   std::size_t read_pos_ = 0;  // consumed prefix of read_buf_
 
-  std::deque<std::string> write_queue_;
+  std::deque<SharedFrame> write_queue_;
   std::size_t queued_bytes_ = 0;
   std::size_t write_offset_ = 0;  // partial-write cursor, front frame
   bool closing_ = false;

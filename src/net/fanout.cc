@@ -1,5 +1,8 @@
 #include "net/fanout.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -33,6 +36,7 @@ NetMetrics::NetMetrics(service::MetricsRegistry* registry) {
   bytes_received = registry->counter("net.bytes_received");
   delta_frames = registry->counter("net.delta_frames");
   full_frames = registry->counter("net.full_frames");
+  frames_encoded = registry->counter("net.frames_encoded");
   slow_consumers_shed = registry->counter("net.slow_consumers_shed");
   requests = registry->counter("net.requests");
   request_errors = registry->counter("net.request_errors");
@@ -55,19 +59,25 @@ void NetMetrics::ObservePublishToWrite(const SnapshotFanout& fanout,
   if (sequence == 0) return;
   const std::int64_t stamp = fanout.PublishWallNs(sequence);
   if (stamp == 0) return;
-  const std::int64_t now =
-      std::chrono::steady_clock::now().time_since_epoch().count();
+  const std::int64_t now = NowNs();
   if (now >= stamp) {
     publish_to_write_ns->Observe(static_cast<double>(now - stamp));
   }
 }
 
+void NetMetrics::Record(const DeliveryTally& tally) {
+  if (tally.frames == 0) return;
+  frames_sent->Increment(tally.frames);
+  bytes_sent->Increment(tally.bytes);
+  full_frames->Increment(tally.full_frames);
+  delta_frames->Increment(tally.delta_frames);
+}
+
 // ---- SnapshotFanout ---------------------------------------------------------
 
-SnapshotFanout::SnapshotFanout() {
-  for (auto& seq : stamp_seq_) seq.store(0, std::memory_order_relaxed);
-  for (auto& ns : stamp_ns_) ns.store(0, std::memory_order_relaxed);
-}
+// The stamp ring starts zeroed: C++20 atomics value-initialize.
+SnapshotFanout::SnapshotFanout(service::Counter* frames_encoded)
+    : frames_encoded_(frames_encoded) {}
 
 void SnapshotFanout::Publish(service::SnapshotPtr snapshot) {
   if (snapshot == nullptr) return;
@@ -78,15 +88,19 @@ void SnapshotFanout::Publish(service::SnapshotPtr snapshot) {
   stamp_ns_[slot].store(NowNs(), std::memory_order_relaxed);
   stamp_seq_[slot].store(sequence, std::memory_order_release);
 
-  std::uint64_t ops = 1;
   {
     std::lock_guard<std::mutex> lock(mu_);
     latest_ = std::move(snapshot);
     epoch_.fetch_add(1, std::memory_order_acq_rel);
-    // Signal under mu_: UnregisterWaker serializes on the same mutex,
-    // so a waker is never signaled after unregistration returns. The
-    // wakers must not take locks that are held while calling into the
-    // fanout (they don't: eventfd write / leaf Wakeup::Notify).
+  }
+  // Signal after releasing mu_: a woken reader's first act is Latest(),
+  // and finding mu_ still held would make its second wakeup preempt
+  // this (ticker) thread. The wakers must not take locks that are held
+  // while calling into the fanout (they don't: eventfd write / leaf
+  // Wakeup::Notify).
+  std::uint64_t ops = 1;
+  {
+    std::lock_guard<std::mutex> lock(wakers_mu_);
     for (Waker* waker : wakers_) {
       waker->Signal();
       ++ops;
@@ -103,14 +117,14 @@ service::SnapshotPtr SnapshotFanout::Latest(std::uint64_t* epoch) const {
 }
 
 void SnapshotFanout::RegisterWaker(Waker* waker) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(wakers_mu_);
   if (std::find(wakers_.begin(), wakers_.end(), waker) == wakers_.end()) {
     wakers_.push_back(waker);
   }
 }
 
 void SnapshotFanout::UnregisterWaker(Waker* waker) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(wakers_mu_);
   wakers_.erase(std::remove(wakers_.begin(), wakers_.end(), waker),
                 wakers_.end());
 }
@@ -141,40 +155,36 @@ bool DeltaEncoder::RowChanged(const service::QueryProgress& a,
          BitsDiffer(a.finish_time, b.finish_time);
 }
 
-std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
+std::string DeltaEncoder::Encode(const service::ProgressSnapshot* base,
+                                 const service::ProgressSnapshot& next,
                                  bool* is_full) {
   MQPI_PROF_SITE(prof, "net.delta_encode");
   SnapshotFrame frame;
-  frame.sequence = next->sequence;
-  frame.sim_time = next->sim_time;
-  frame.num_running = next->num_running;
-  frame.num_queued = next->num_queued;
-  frame.num_blocked = next->num_blocked;
-  frame.measured_rate = next->measured_rate;
-  frame.quiescent_eta = next->quiescent_eta;
-  frame.age_quanta = next->age_quanta;
-  frame.degraded = next->degraded;
-  frame.total_rows = static_cast<std::uint32_t>(next->queries.size());
+  frame.sequence = next.sequence;
+  frame.sim_time = next.sim_time;
+  frame.num_running = next.num_running;
+  frame.num_queued = next.num_queued;
+  frame.num_blocked = next.num_blocked;
+  frame.measured_rate = next.measured_rate;
+  frame.quiescent_eta = next.quiescent_eta;
+  frame.age_quanta = next.age_quanta;
+  frame.degraded = next.degraded;
+  frame.total_rows = static_cast<std::uint32_t>(next.queries.size());
   // Shard loads ride every frame whole: N entries is noise next to the
   // row set, and deltas stay self-contained.
-  frame.shard_loads = next->shard_loads;
+  frame.shard_loads = next.shard_loads;
 
-  bool full = last_ == nullptr;
+  bool full = base == nullptr;
   if (!full) {
-    // Snapshots are append-only by id and sorted: the previous rows
-    // must be a (changed-in-place) prefix-by-id subset of the next.
+    // Snapshots are append-only by id and sorted: the base rows must
+    // be a (changed-in-place) prefix-by-id subset of the next.
     // Merge-walk both; any id that vanished means the stream restarted
     // — fall back to a full frame.
-    const auto& old_rows = last_->queries;
-    const auto& new_rows = next->queries;
+    const auto& old_rows = base->queries;
     std::size_t oi = 0;
-    for (const auto& row : new_rows) {
+    for (const auto& row : next.queries) {
       if (oi < old_rows.size() && old_rows[oi].id == row.id) {
-        if (RowChanged(old_rows[oi], row)) {
-          frame.rows.push_back(row);
-        } else {
-          ++stats_.rows_skipped;
-        }
+        if (RowChanged(old_rows[oi], row)) frame.rows.push_back(row);
         ++oi;
       } else if (oi < old_rows.size() && old_rows[oi].id < row.id) {
         full = true;  // a previously-known id disappeared
@@ -183,62 +193,88 @@ std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
         frame.rows.push_back(row);  // new query
       }
     }
-    if (oi < old_rows.size() && !full) full = true;
-    frame.base_sequence = last_->sequence;
+    if (oi < old_rows.size()) full = true;
+    frame.base_sequence = base->sequence;
   }
   if (full) {
-    frame.rows = next->queries;
+    frame.rows = next.queries;
     frame.base_sequence = 0;
-    ++stats_.fulls;
-  } else {
-    ++stats_.deltas;
   }
-  stats_.rows_sent += frame.rows.size();
-  last_ = next;
   if (is_full != nullptr) *is_full = full;
   return EncodeFrame(/*request_id=*/0, FrameBody(std::move(frame)), full);
 }
 
+// ---- frame memo -------------------------------------------------------------
+
+SnapshotFanout::Frame SnapshotFanout::FrameFor(
+    const service::SnapshotPtr& base, const service::SnapshotPtr& target) {
+  const auto encode = [&] {
+    Frame frame;
+    frame.bytes = std::make_shared<const std::string>(
+        DeltaEncoder::Encode(base.get(), *target, &frame.full));
+    if (frames_encoded_ != nullptr) frames_encoded_->Increment();
+    return frame;
+  };
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (target != memo_target_) {
+    if (target != Latest()) return encode();
+    memo_target_ = target;
+    memo_.clear();
+  }
+  for (const auto& [memo_base, frame] : memo_) {
+    if (!memo_base.owner_before(base) && !base.owner_before(memo_base)) {
+      return frame;
+    }
+  }
+  return memo_.emplace_back(base, encode()).second;
+}
+
+const SnapshotFanout::Frame& FrameLookup::For(
+    const service::SnapshotPtr& base) {
+  if (cached_frame_.bytes == nullptr || base != cached_base_) {
+    cached_frame_ = fanout_->FrameFor(base, target_);
+    cached_base_ = base;
+  }
+  return cached_frame_;
+}
+
 // ---- Subscription -----------------------------------------------------------
 
-bool Subscription::Deliver(const service::SnapshotPtr& snapshot,
+bool Subscription::Deliver(FrameLookup* frames, DeliveryTally* tally,
                            NetMetrics* metrics) {
+  const service::SnapshotPtr& target = frames->target();
+  std::lock_guard<std::mutex> lock(mu_);
   if (shed() || cancelled()) return false;
-  bool full = false;
-  // The encoder is only ever touched by this subscription's one pool
-  // worker; no lock needed around it.
-  std::string frame = encoder_.Encode(snapshot, &full);
-  const std::size_t bytes = frame.size();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.size() + 1 > options_.max_queued_frames ||
-        queued_bytes_ + bytes > options_.max_queued_bytes) {
-      // Slow consumer: shed rather than buffer without bound. The
-      // queue is replaced by one final Status-coded error frame.
-      queue_.clear();
-      queued_bytes_ = 0;
-      ErrorReply error;
-      error.code = StatusCode::kResourceExhausted;
-      error.message = "subscription shed: write queue overflow "
-                      "(slow consumer)";
-      queue_.push_back(EncodeFrame(0, FrameBody(std::move(error))));
-      shed_.store(true, std::memory_order_release);
-      if (metrics != nullptr) metrics->slow_consumers_shed->Increment();
-      return false;
-    }
-    queued_bytes_ += bytes;
-    queue_.push_back(std::move(frame));
+  if (cursor_ != nullptr && cursor_->sequence >= target->sequence) {
+    return true;  // already there (a seed or an earlier sweep won)
   }
-  delivered_sequence_.store(snapshot->sequence, std::memory_order_relaxed);
-  if (metrics != nullptr) {
-    metrics->frames_sent->Increment();
-    metrics->bytes_sent->Increment(bytes);
-    (full ? metrics->full_frames : metrics->delta_frames)->Increment();
+  const SnapshotFanout::Frame& frame = frames->For(cursor_);
+  const std::size_t bytes = frame.bytes->size();
+  if (queue_.size() + 1 > options_.max_queued_frames ||
+      queued_bytes_ + bytes > options_.max_queued_bytes) {
+    // Slow consumer: shed rather than buffer without bound. The
+    // queue is replaced by one final Status-coded error frame.
+    queue_.clear();
+    queue_.push_back(std::make_shared<const std::string>(EncodeFrame(
+        0, FrameBody{ErrorReply{StatusCode::kResourceExhausted,
+                                "subscription shed: write queue overflow "
+                                "(slow consumer)"}})));
+    queued_bytes_ = queue_.back()->size();
+    // Counted before the flag flips: whoever sees shed() sees the count.
+    if (metrics != nullptr) metrics->slow_consumers_shed->Increment();
+    shed_.store(true, std::memory_order_release);
+    return false;
   }
+  queued_bytes_ += bytes;
+  queue_.push_back(frame.bytes);
+  cursor_ = target;
+  ++tally->frames;
+  tally->bytes += bytes;
+  ++(frame.full ? tally->full_frames : tally->delta_frames);
   return true;
 }
 
-bool Subscription::TryPop(std::string* frame) {
+bool Subscription::TryPop(SharedFrame* frame) {
   int stalled = stalled_pops_.load(std::memory_order_relaxed);
   while (stalled > 0) {
     if (stalled_pops_.compare_exchange_weak(stalled, stalled - 1,
@@ -250,7 +286,7 @@ bool Subscription::TryPop(std::string* frame) {
   if (queue_.empty()) return false;
   *frame = std::move(queue_.front());
   queue_.pop_front();
-  queued_bytes_ -= frame->size();
+  queued_bytes_ -= (*frame)->size();
   return true;
 }
 
@@ -260,6 +296,11 @@ void Subscription::Cancel() {
 
 void Subscription::StallPops(int n) {
   stalled_pops_.store(n, std::memory_order_relaxed);
+}
+
+std::uint64_t Subscription::delivered_sequence() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cursor_ != nullptr ? cursor_->sequence : 0;
 }
 
 bool Subscription::Drained() const {
@@ -311,19 +352,25 @@ void SubscriberPool::Stop() {
 
 std::shared_ptr<Subscription> SubscriberPool::Subscribe() {
   auto subscription = std::make_shared<Subscription>(options_.subscription);
-  // Seed the subscriber with the current snapshot (full frame) before
-  // it joins a shard, so it has data even if no publish ever comes.
-  if (auto latest = fanout_->Latest(); latest != nullptr) {
-    subscription->Deliver(latest, metrics_);
-  }
   const std::size_t shard_index =
       next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   Shard* shard = shards_[shard_index].get();
   {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->subs.push_back(subscription);
+    shard->roster.reset();
   }
   metrics_->AddSubscriptions(1);
+  // Seed with the current snapshot only after joining the shard: a
+  // publish that lands in between is then swept with this subscriber
+  // on the roster, and whichever delivery comes second is a no-op.
+  // (Seeding first lost that publish until the next one.)
+  if (auto latest = fanout_->Latest(); latest != nullptr) {
+    FrameLookup frames(fanout_, std::move(latest));
+    DeliveryTally tally;
+    subscription->Deliver(&frames, &tally, metrics_);
+    metrics_->Record(tally);
+  }
   return subscription;
 }
 
@@ -339,6 +386,7 @@ void SubscriberPool::Unsubscribe(
     const auto it = std::find(subs.begin(), subs.end(), subscription);
     if (it != subs.end()) {
       subs.erase(it);
+      shard->roster.reset();
       metrics_->AddSubscriptions(-1);
       return;
     }
@@ -346,6 +394,10 @@ void SubscriberPool::Unsubscribe(
 }
 
 void SubscriberPool::WorkerLoop(int worker_index) {
+  // Sweeps are throughput work: as SCHED_BATCH a woken worker does not
+  // preempt the publishing thread on its CPU (best effort).
+  const sched_param batch{};
+  pthread_setschedparam(pthread_self(), SCHED_BATCH, &batch);
   Shard* shard = shards_[static_cast<std::size_t>(worker_index)].get();
   std::uint64_t seen_wake = 0;
   std::uint64_t swept_epoch = 0;
@@ -367,64 +419,63 @@ void SubscriberPool::WorkerLoop(int worker_index) {
 void SubscriberPool::SweepShard(Shard* shard,
                                 const service::SnapshotPtr& snapshot) {
   obs::TraceSpan span(tracer_, "net", "fanout_sweep");
-  // Copy the roster so delivery (delta encode per subscriber) runs
-  // without the shard lock; subscribe/unsubscribe stay cheap.
-  std::vector<std::shared_ptr<Subscription>> roster;
+  std::shared_ptr<const Roster> roster;
   {
     std::lock_guard<std::mutex> lock(shard->mu);
-    roster = shard->subs;
+    if (shard->roster == nullptr) {
+      shard->roster = std::make_shared<const Roster>(shard->subs);
+    }
+    roster = shard->roster;
   }
-  span.arg("subs", static_cast<double>(roster.size()));
+  span.arg("subs", static_cast<double>(roster->size()));
 
   fault::FaultInjector* fault = options_.fault;
-  if (fault != nullptr && fault->enabled() && !roster.empty()) {
+  if (fault != nullptr && fault->enabled() && !roster->empty()) {
     if (fault->ShouldFire(fault::kNetSlowConsumer)) {
       // The chosen subscriber's consumer goes deaf: deliveries keep
       // landing but nothing drains, so the bounded queue must shed it.
       const auto victim = fault->PickIndex(fault::kNetSlowConsumer,
-                                           roster.size());
-      roster[victim]->StallPops(
+                                           roster->size());
+      (*roster)[victim]->StallPops(
           static_cast<int>(options_.subscription.max_queued_frames) + 8);
     }
     if (fault->ShouldFire(fault::kNetConnDrop)) {
       const auto victim =
-          fault->PickIndex(fault::kNetConnDrop, roster.size());
-      roster[victim]->Cancel();
+          fault->PickIndex(fault::kNetConnDrop, roster->size());
+      (*roster)[victim]->Cancel();
       metrics_->conns_dropped->Increment();
     }
   }
 
+  FrameLookup frames(fanout_, snapshot);
+  DeliveryTally tally;
   bool any_dead = false;
-  for (const auto& subscription : roster) {
+  for (const auto& subscription : *roster) {
     if (subscription->cancelled() || subscription->shed()) {
       any_dead = true;
       continue;
     }
-    if (subscription->delivered_sequence() >= snapshot->sequence) continue;
-    if (!subscription->Deliver(snapshot, metrics_)) {
+    const std::uint64_t queued = tally.frames;
+    if (!subscription->Deliver(&frames, &tally, metrics_)) {
       any_dead = true;
-    } else {
+    } else if (tally.frames != queued) {
       metrics_->ObservePublishToWrite(*fanout_, snapshot->sequence);
     }
   }
+  metrics_->Record(tally);
   if (!any_dead) return;
   // Compact: drop shed/cancelled subscriptions from the shard.
   std::lock_guard<std::mutex> lock(shard->mu);
   auto& subs = shard->subs;
-  const auto dead = [](const std::shared_ptr<Subscription>& s) {
+  const auto before = subs.size();
+  std::erase_if(subs, [](const std::shared_ptr<Subscription>& s) {
     return s->cancelled() || (s->shed() && s->Drained());
-  };
-  std::int64_t removed = 0;
-  auto it = std::remove_if(subs.begin(), subs.end(),
-                           [&](const std::shared_ptr<Subscription>& s) {
-                             if (dead(s)) {
-                               ++removed;
-                               return true;
-                             }
-                             return false;
-                           });
-  subs.erase(it, subs.end());
-  if (removed > 0) metrics_->AddSubscriptions(-removed);
+  });
+  const auto removed = static_cast<std::int64_t>(before - subs.size());
+  if (removed > 0) {
+    shard->roster.reset();
+    metrics_->AddSubscriptions(-removed);
+  }
 }
 
 }  // namespace mqpi::net

@@ -1,5 +1,6 @@
 // Snapshot fan-out: one published ProgressSnapshot reaching any number
-// of subscribers with O(1) work on the publishing (ticker) thread.
+// of subscribers with O(1) work on the publishing (ticker) thread and
+// one encode per distinct stream position.
 //
 // The pieces, bottom-up:
 //
@@ -10,39 +11,35 @@
 //   signals the registered *wakers*. A waker is one per event loop /
 //   worker pool — never one per subscriber — so the publish path costs
 //   1 pointer swap + #wakers signals regardless of how many clients
-//   are subscribed. Subscriber churn never touches the publish path at
-//   all: subscriptions live in the pools and epoll loops downstream.
-//   `publish_ops()` counts the exact work per publish so the perfsmoke
-//   gate can assert O(1)-in-subscribers by measurement.
+//   are subscribed. `publish_ops()` counts the exact work per publish
+//   so the perfsmoke gate can assert O(1)-in-subscribers. The hub also
+//   memoizes the wire frames for its latest snapshot, keyed by base
+//   (`FrameFor`): encoded lazily by the first pool worker or loop
+//   thread that asks, then shared as one immutable buffer by every
+//   subscriber at that base.
 //
-//   DeltaEncoder — per-subscriber differ. Remembers the last snapshot
-//   it encoded for its subscriber and emits either a SNAPSHOT_FULL
-//   frame (first contact) or a SNAPSHOT_DELTA containing only rows
-//   that changed (state/priority/weight/degraded/queue position, or
-//   any estimate field, compared bitwise). Snapshots are append-only
-//   by query id and sorted, so the diff is one linear merge-walk.
-//   Coalescing falls out naturally: encoding against "latest" after
-//   missing k intermediate snapshots produces one delta with the net
-//   change.
+//   DeltaEncoder::Encode — the one diff/encode function: SNAPSHOT_FULL
+//   without a base, else a SNAPSHOT_DELTA with only the rows that
+//   changed (state/priority/weight/degraded/queue position, or any
+//   estimate field, compared bitwise). Snapshots are append-only by
+//   query id and sorted, so the diff is one linear merge-walk.
+//   Coalescing falls out naturally: a subscriber whose cursor missed k
+//   snapshots gets one delta with the net change.
 //
-//   Subscription — one in-process subscriber endpoint: a DeltaEncoder
-//   plus a bounded frame queue (frames × bytes caps). The producer
-//   side (a SubscriberPool worker) encodes and enqueues; the consumer
-//   side pops encoded wire frames. Overflow = slow consumer: the
-//   queue is cleared, a Status-coded ERROR frame (kResourceExhausted)
-//   is left as the final message, and the subscription is shed —
-//   exactly the PR 4 bounded-queue shedding discipline at the network
-//   edge.
+//   Subscription — one in-process subscriber endpoint: a cursor (the
+//   snapshot it was last sent) plus a bounded queue of shared frames
+//   (frames × bytes caps). Overflow = slow consumer: the queue is
+//   cleared, a Status-coded ERROR frame (kResourceExhausted) is left
+//   as the final message, and the subscription is shed — the service's
+//   bounded-queue shedding discipline, applied at the network edge.
 //
 //   SubscriberPool — worker threads fanning published snapshots out to
 //   sharded Subscription sets. Registers ONE waker with the fanout;
 //   each worker wakes on publish, reads `Latest()` once, and walks its
-//   shards encoding per-subscriber deltas. All per-subscriber work
-//   happens here, off the ticker thread.
+//   shard queueing shared frames, off the ticker thread.
 //
-// TCP connections use the same SnapshotFanout + DeltaEncoder but skip
-// Subscription/SubscriberPool: their per-connection writer state lives
-// in the epoll loop (see net/conn.h / net/server.h).
+// TCP connections keep their cursor and write queue in the epoll loop
+// instead (see net/conn.h / net/server.h), on the same frame memo.
 #pragma once
 
 #include <array>
@@ -70,6 +67,17 @@ namespace mqpi::net {
 
 class SnapshotFanout;
 
+/// An encoded wire frame shared by every subscriber it is queued for.
+using SharedFrame = std::shared_ptr<const std::string>;
+
+/// One sweep's deliveries, added to the (contended) counters at once.
+struct DeliveryTally {
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t full_frames = 0;
+  std::uint64_t delta_frames = 0;
+};
+
 /// The net layer's instruments, resolved once against the service's
 /// MetricsRegistry (all names pass the `lint` label check). Shared by
 /// the TCP server, the subscriber pools, and the connections.
@@ -80,6 +88,8 @@ struct NetMetrics {
   service::Counter* bytes_received = nullptr;
   service::Counter* delta_frames = nullptr;
   service::Counter* full_frames = nullptr;
+  /// Frames encoded (memo misses), as opposed to delivered.
+  service::Counter* frames_encoded = nullptr;
   service::Counter* slow_consumers_shed = nullptr;
   service::Counter* requests = nullptr;
   service::Counter* request_errors = nullptr;
@@ -97,6 +107,8 @@ struct NetMetrics {
   /// publish stamp; no-op when the stamp was evicted from the ring.
   void ObservePublishToWrite(const SnapshotFanout& fanout,
                              std::uint64_t sequence);
+
+  void Record(const DeliveryTally& tally);
 
   /// Live tallies behind the two gauges (gauges are last-write-wins;
   /// these atomics make concurrent add/remove safe).
@@ -117,6 +129,27 @@ struct NetMetrics {
   }
 };
 
+// ---- diff + encode ----------------------------------------------------------
+
+class DeltaEncoder {
+ public:
+  /// Encodes `next` as a push frame: SNAPSHOT_FULL when `base` is null
+  /// or an id of `base` vanished from `next` (stream restart), else a
+  /// SNAPSHOT_DELTA with only the new and changed rows. `*is_full`
+  /// (optional) reports which. Never returns an empty string: an
+  /// unchanged-rows publish still yields a header-only delta so the
+  /// subscriber's sequence stays fresh.
+  static std::string Encode(const service::ProgressSnapshot* base,
+                            const service::ProgressSnapshot& next,
+                            bool* is_full = nullptr);
+
+  /// True when any delta-relevant field differs (bitwise on doubles, so
+  /// inf/NaN compare sanely and "changed" means changed bits on the
+  /// wire).
+  static bool RowChanged(const service::QueryProgress& a,
+                         const service::QueryProgress& b);
+};
+
 // ---- fan-out hub ------------------------------------------------------------
 
 class SnapshotFanout {
@@ -129,11 +162,17 @@ class SnapshotFanout {
     virtual void Signal() = 0;
   };
 
-  SnapshotFanout();
+  struct Frame {
+    SharedFrame bytes;
+    bool full = false;
+  };
+
+  /// `frames_encoded` (optional) counts memo misses.
+  explicit SnapshotFanout(service::Counter* frames_encoded = nullptr);
 
   /// O(1) in subscribers: pointer swap + epoch bump + one Signal per
   /// registered waker. Safe from any thread; called by the service's
-  /// publish hook on the ticker thread.
+  /// publish hook on the ticker thread. Never encodes.
   void Publish(service::SnapshotPtr snapshot);
 
   /// Latest published snapshot (may be null before the first publish)
@@ -143,6 +182,12 @@ class SnapshotFanout {
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
+
+  /// The frame moving a subscriber from `base` (null = nothing yet) to
+  /// `target`; memoized while `target` is the latest snapshot (an
+  /// overtaken sweep's older target is encoded, not memoized).
+  Frame FrameFor(const service::SnapshotPtr& base,
+                 const service::SnapshotPtr& target);
 
   /// Wakers are per-loop, not per-subscriber; registration is rare.
   void RegisterWaker(Waker* waker);
@@ -166,8 +211,11 @@ class SnapshotFanout {
  private:
   static constexpr std::size_t kStampRing = 4096;
 
-  mutable std::mutex mu_;  // guards latest_ + wakers_, pointer ops only
+  mutable std::mutex mu_;  // guards latest_, pointer ops only
   service::SnapshotPtr latest_;
+  // Held while signaling, so no waker is signaled after Unregister
+  // returns; apart from mu_, so a woken reader never waits on it.
+  std::mutex wakers_mu_;
   std::vector<Waker*> wakers_;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> publishes_{0};
@@ -175,42 +223,35 @@ class SnapshotFanout {
   // seq -> wall ns, indexed seq % kStampRing; readers validate the seq.
   std::array<std::atomic<std::uint64_t>, kStampRing> stamp_seq_;
   std::array<std::atomic<std::int64_t>, kStampRing> stamp_ns_;
+
+  // Frames to memo_target_, one per base, matched by owner: the weak
+  // key pins the control block (never reused), not the rows. Encoding
+  // runs under memo_mu_, taken before mu_, so concurrent requests for
+  // one pair encode it once.
+  std::mutex memo_mu_;
+  service::SnapshotPtr memo_target_;
+  std::vector<std::pair<std::weak_ptr<const service::ProgressSnapshot>, Frame>>
+      memo_;
+  service::Counter* const frames_encoded_;
 };
 
-// ---- per-subscriber delta encoding ------------------------------------------
-
-class DeltaEncoder {
+/// One thread's view of a fanout's memo for one target snapshot. It
+/// caches its last lookup, so a run of subscribers at one base (often
+/// a whole pool shard) takes the memo lock once.
+class FrameLookup {
  public:
-  struct Stats {
-    std::uint64_t fulls = 0;
-    std::uint64_t deltas = 0;
-    std::uint64_t rows_sent = 0;
-    std::uint64_t rows_skipped = 0;  // unchanged rows elided from deltas
-  };
+  FrameLookup(SnapshotFanout* fanout, service::SnapshotPtr target)
+      : fanout_(fanout), target_(std::move(target)) {}
 
-  /// Encodes `next` as a wire frame for this subscriber: SNAPSHOT_FULL
-  /// on first contact (or after Reset), SNAPSHOT_DELTA with only the
-  /// changed rows afterwards. Returns the encoded frame; `*is_full`
-  /// (optional) reports which. Never returns an empty string: an
-  /// unchanged-rows publish still yields a header-only delta so the
-  /// subscriber's sequence stays fresh.
-  std::string Encode(const service::SnapshotPtr& next,
-                     bool* is_full = nullptr);
-
-  /// Forget the last-sent state; the next Encode emits a full frame.
-  void Reset() { last_.reset(); }
-
-  const Stats& stats() const { return stats_; }
-
-  /// True when any delta-relevant field differs (bitwise on doubles, so
-  /// inf/NaN compare sanely and "changed" means changed bits on the
-  /// wire).
-  static bool RowChanged(const service::QueryProgress& a,
-                         const service::QueryProgress& b);
+  SnapshotFanout* fanout() const { return fanout_; }
+  const service::SnapshotPtr& target() const { return target_; }
+  const SnapshotFanout::Frame& For(const service::SnapshotPtr& base);
 
  private:
-  service::SnapshotPtr last_;
-  Stats stats_;
+  SnapshotFanout* const fanout_;
+  const service::SnapshotPtr target_;
+  service::SnapshotPtr cached_base_;
+  SnapshotFanout::Frame cached_frame_;  // bytes null until the first For
 };
 
 // ---- in-process subscriber endpoint -----------------------------------------
@@ -224,15 +265,16 @@ class Subscription {
 
   explicit Subscription(Options options) : options_(options) {}
 
-  /// Producer side (pool worker): encode `snapshot` and enqueue the
-  /// frame. Returns false when this call shed the subscription
-  /// (bounded-queue overflow); the queue then holds a single ERROR
-  /// frame and the subscription is dead.
-  bool Deliver(const service::SnapshotPtr& snapshot, NetMetrics* metrics);
+  /// Producer side: queue the frame moving the cursor to
+  /// `frames->target()` and count it in `*tally`; a no-op if the cursor
+  /// is there already (one lock: it never moves backwards). False when
+  /// dead or shed by this call (overflow, counted in `metrics`).
+  bool Deliver(FrameLookup* frames, DeliveryTally* tally,
+               NetMetrics* metrics);
 
   /// Consumer side: pops the next encoded wire frame; false when the
   /// queue is empty.
-  bool TryPop(std::string* frame);
+  bool TryPop(SharedFrame* frame);
 
   bool shed() const { return shed_.load(std::memory_order_acquire); }
   /// Marks the subscription dead without an error frame (unsubscribe,
@@ -250,18 +292,15 @@ class Subscription {
   /// error frame has been consumed).
   bool Drained() const;
 
-  /// Epoch of the last snapshot delivered (coalescing cursor).
-  std::uint64_t delivered_sequence() const {
-    return delivered_sequence_.load(std::memory_order_relaxed);
-  }
+  /// Sequence of the last snapshot queued (0 = none yet).
+  std::uint64_t delivered_sequence() const;
 
  private:
   const Options options_;
-  mutable std::mutex mu_;
-  std::deque<std::string> queue_;
+  mutable std::mutex mu_;  // guards queue_, queued_bytes_, cursor_
+  std::deque<SharedFrame> queue_;
   std::size_t queued_bytes_ = 0;
-  DeltaEncoder encoder_;  // producer-side only (one pool worker)
-  std::atomic<std::uint64_t> delivered_sequence_{0};
+  service::SnapshotPtr cursor_;  // last snapshot queued; null = none
   std::atomic<bool> shed_{false};
   std::atomic<bool> cancelled_{false};
   std::atomic<int> stalled_pops_{0};
@@ -306,13 +345,18 @@ class SubscriberPool {
   }
 
  private:
+  using Roster = std::vector<std::shared_ptr<Subscription>>;
+
   struct Shard {
     std::mutex mu;
-    std::vector<std::shared_ptr<Subscription>> subs;
+    Roster subs;
+    /// Copy-on-write snapshot of `subs` that sweeps walk unlocked;
+    /// churn clears it and the next sweep rebuilds it.
+    std::shared_ptr<const Roster> roster;
   };
 
-  // Signaled under the fanout mutex; safe, as the Wakeup's mutex is a
-  // leaf lock (no worker holds it while touching Latest()).
+  // Signaled under the fanout's waker mutex; safe, as the Wakeup's
+  // mutex is a leaf lock (no worker holds it while touching Latest()).
   struct PoolWaker : SnapshotFanout::Waker {
     void Signal() override { wake.Notify(); }
     Wakeup wake;  // the workers park on it; Stop() stops it

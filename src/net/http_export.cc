@@ -1,15 +1,13 @@
 #include "net/http_export.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <utility>
 
+#include "net/conn.h"
 #include "net/fanout.h"
 #include "obs/profiler.h"
 #include "service/pi_service.h"
@@ -65,33 +63,9 @@ Status HttpExporter::Start(int epoll_fd) {
     return Status::FailedPrecondition("http exporter already started");
   }
   epoll_fd_ = epoll_fd;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) return Status::Internal("http socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad http listen address: " +
-                                   options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, options_.listen_backlog) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal(std::string("http bind/listen failed: ") +
-                            std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  bound_port_ = ntohs(addr.sin_port);
-
+  MQPI_RETURN_NOT_OK(ListenTcp(options_.host, options_.port,
+                               options_.listen_backlog, &listen_fd_,
+                               &bound_port_));
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;

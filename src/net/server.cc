@@ -1,15 +1,12 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "engine/sql_parser.h"
@@ -38,7 +35,8 @@ PiServer::PiServer(service::PiService* service, PiServerOptions options)
       options_(std::move(options)),
       fault_(options_.fault),
       tracer_(service->tracer()),
-      metrics_(std::make_unique<NetMetrics>(service->metrics())) {
+      metrics_(std::make_unique<NetMetrics>(service->metrics())),
+      fanout_(metrics_->frames_encoded) {
   SubscriberPool::Options pool_options;
   pool_options.threads = options_.pool_threads;
   pool_options.subscription = options_.subscription;
@@ -58,11 +56,13 @@ PiServer::PiServer(service::ShardedPiService* coordinator,
       tracer_(service_->tracer()),
       // Server-wide net.* metrics belong to the coordinator's
       // registry, not any one shard's.
-      metrics_(std::make_unique<NetMetrics>(coordinator->metrics())) {
+      metrics_(std::make_unique<NetMetrics>(coordinator->metrics())),
+      fanout_(metrics_->frames_encoded) {
   shard_fanouts_.reserve(
       static_cast<std::size_t>(coordinator_->num_shards()));
   for (int i = 0; i < coordinator_->num_shards(); ++i) {
-    shard_fanouts_.push_back(std::make_unique<SnapshotFanout>());
+    shard_fanouts_.push_back(
+        std::make_unique<SnapshotFanout>(metrics_->frames_encoded));
   }
   pushed_shard_epochs_.assign(shard_fanouts_.size(), 0);
   SubscriberPool::Options pool_options;
@@ -81,32 +81,9 @@ Status PiServer::Start() {
     return Status::FailedPrecondition("server already started");
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) return Status::Internal("socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad listen address: " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, options_.listen_backlog) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal(std::string("bind/listen failed: ") +
-                            std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  bound_port_ = ntohs(addr.sin_port);
-
+  MQPI_RETURN_NOT_OK(ListenTcp(options_.host, options_.port,
+                               options_.listen_backlog, &listen_fd_,
+                               &bound_port_));
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (epoll_fd_ < 0 || wake_fd_ < 0) {
@@ -200,13 +177,9 @@ void PiServer::Stop() {
     waker_.event_fd = -1;
   }
   // Loop thread is gone; its state is ours to reap.
-  for (auto& [id, conn] : conns_) {
-    if (conn->session) conn->session->Close();
-    metrics_->AddConnections(-1);
-    if (conn->subscribed) metrics_->AddSubscriptions(-1);
+  while (!conns_.empty()) {
+    CloseConnection(conns_.begin()->first, /*count_dropped=*/false);
   }
-  conns_.clear();
-  conn_by_fd_.clear();
   if (http_ != nullptr) {
     http_->Stop();
     http_.reset();
@@ -588,15 +561,11 @@ void PiServer::HandleSubscribe(Connection* conn, const Frame& frame) {
   if (scope < 0 || coordinator_ == nullptr) scope = -1;
   if (!conn->subscribed) {
     conn->subscribed = true;
-    conn->delta.Reset();
-    conn->pushed_sequence = 0;
     metrics_->AddSubscriptions(1);
-  } else if (conn->subscribe_shard != scope) {
-    // Re-scoping resets the stream: the delta chain restarts from a
-    // full frame of the new scope.
-    conn->delta.Reset();
-    conn->pushed_sequence = 0;
   }
+  // Every SUBSCRIBE (first, re-scoped, or a gap-healing repeat) starts
+  // the stream over from a full frame.
+  conn->cursor.reset();
   conn->subscribe_shard = scope;
 
   SnapshotFanout* source =
@@ -607,64 +576,60 @@ void PiServer::HandleSubscribe(Connection* conn, const Frame& frame) {
   QueueOnConn(conn, EncodeFrame(frame.header.request_id, FrameBody{reply}));
   // Immediate full frame so the subscriber has a base to patch.
   if (latest != nullptr) {
-    std::string push = conn->delta.Encode(latest);
-    metrics_->full_frames->Increment();
-    ++conn->stats.full_frames;
-    conn->pushed_sequence = latest->sequence;
-    QueueOnConn(conn, std::move(push));
+    FrameLookup frames(source, latest);
+    PushFrame(conn, &frames);
   }
+}
+
+void PiServer::PushFrame(Connection* conn, FrameLookup* frames) {
+  const SnapshotFanout::Frame& frame = frames->For(conn->cursor);
+  conn->cursor = frames->target();
+  (frame.full ? metrics_->full_frames : metrics_->delta_frames)->Increment();
+  ++(frame.full ? conn->stats.full_frames : conn->stats.delta_frames);
+  if (QueueOnConn(conn, frame.bytes)) return;
+  metrics_->slow_consumers_shed->Increment();
+  // Push-gap/shed evidence lands in shard 0's recorder when sharded
+  // (service_ is shard 0): one loop thread, one recorder, one story.
+  obs::FlightRecorder* flight = service_->flight_recorder();
+  flight->Record(obs::FlightEventKind::kShed, "net", "consumer_shed",
+                 static_cast<double>(conn->id()), conn->cursor->sequence);
+  flight->Trigger("consumer_shed");
 }
 
 void PiServer::PushSnapshots() {
   MQPI_PROF_SITE(prof, "net.push_snapshots");
-  std::uint64_t epoch = 0;
-  const service::SnapshotPtr global = fanout_.Latest(&epoch);
-  pushed_epoch_ = epoch;
-  // Mark every shard stream caught up front: the push below reads the
-  // same latests, so nothing published before this point is missed.
-  std::vector<service::SnapshotPtr> shard_latests(shard_fanouts_.size());
+  // One lookup per stream (0 = global, 1 + i = shard i), each marked
+  // caught up front: the push below reads the same latests, so nothing
+  // published before this point is missed.
+  std::vector<FrameLookup> streams;
+  streams.reserve(1 + shard_fanouts_.size());
+  streams.emplace_back(&fanout_, fanout_.Latest(&pushed_epoch_));
   for (std::size_t i = 0; i < shard_fanouts_.size(); ++i) {
-    std::uint64_t shard_epoch = 0;
-    shard_latests[i] = shard_fanouts_[i]->Latest(&shard_epoch);
-    pushed_shard_epochs_[i] = shard_epoch;
+    streams.emplace_back(shard_fanouts_[i].get(),
+                         shard_fanouts_[i]->Latest(&pushed_shard_epochs_[i]));
   }
-  // Push-gap/shed evidence lands in shard 0's recorder when sharded
-  // (service_ is shard 0): the loop is one thread and one recorder
-  // keeps its story in one place, rather than duplicating it N ways.
   obs::FlightRecorder* flight = service_->flight_recorder();
   std::vector<std::uint64_t> done;
   for (auto& [id, conn] : conns_) {
     if (!conn->subscribed || conn->closing()) continue;
-    const bool shard_scoped =
-        conn->subscribe_shard >= 0 &&
-        conn->subscribe_shard < static_cast<int>(shard_latests.size());
-    SnapshotFanout* source =
-        shard_scoped ? shard_fanouts_[std::size_t(conn->subscribe_shard)].get()
-                     : &fanout_;
-    const service::SnapshotPtr& latest =
-        shard_scoped ? shard_latests[std::size_t(conn->subscribe_shard)]
-                     : global;
+    const std::size_t stream = static_cast<std::size_t>(
+        conn->subscribe_shard >= 0 ? conn->subscribe_shard + 1 : 0);
+    FrameLookup* frames = &streams[stream < streams.size() ? stream : 0];
+    const service::SnapshotPtr& latest = frames->target();
     if (latest == nullptr) continue;
-    if (conn->pushed_sequence >= latest->sequence) continue;
+    if (conn->cursor != nullptr &&
+        conn->cursor->sequence >= latest->sequence) {
+      continue;
+    }
     // Publishes the loop slept through surface as sequence gaps: the
-    // delta encoder folds them into one patch, but the recorder keeps
-    // the evidence that this consumer skipped snapshots.
-    if (conn->pushed_sequence != 0) {
-      flight->ObserveGap("net", "conn_push", conn->pushed_sequence + 1,
+    // delta from the cursor folds them into one patch, but the
+    // recorder keeps the evidence that this consumer skipped snapshots.
+    if (conn->cursor != nullptr) {
+      flight->ObserveGap("net", "conn_push", conn->cursor->sequence + 1,
                          latest->sequence);
     }
-    bool is_full = false;
-    std::string frame = conn->delta.Encode(latest, &is_full);
-    conn->pushed_sequence = latest->sequence;
-    (is_full ? metrics_->full_frames : metrics_->delta_frames)->Increment();
-    ++(is_full ? conn->stats.full_frames : conn->stats.delta_frames);
-    if (!QueueOnConn(conn.get(), std::move(frame))) {
-      metrics_->slow_consumers_shed->Increment();
-      flight->Record(obs::FlightEventKind::kShed, "net", "consumer_shed",
-                     static_cast<double>(id), latest->sequence);
-      flight->Trigger("consumer_shed");
-    }
-    metrics_->ObservePublishToWrite(*source, latest->sequence);
+    PushFrame(conn.get(), frames);
+    metrics_->ObservePublishToWrite(*frames->fanout(), latest->sequence);
     FlushConnection(conn.get());
     if (conn->closing() && !conn->wants_write()) {
       done.push_back(id);
@@ -677,10 +642,15 @@ void PiServer::PushSnapshots() {
   }
 }
 
-bool PiServer::QueueOnConn(Connection* conn, std::string frame) {
+bool PiServer::QueueOnConn(Connection* conn, SharedFrame frame) {
   metrics_->frames_sent->Increment();
-  metrics_->bytes_sent->Increment(frame.size());
+  metrics_->bytes_sent->Increment(frame->size());
   return conn->QueueFrame(std::move(frame));
+}
+
+bool PiServer::QueueOnConn(Connection* conn, std::string frame) {
+  return QueueOnConn(conn,
+                     std::make_shared<const std::string>(std::move(frame)));
 }
 
 void PiServer::FlushConnection(Connection* conn) {
@@ -750,10 +720,9 @@ Status PiServer::Drain(double timeout_s) {
 }
 
 void PiServer::DrainOnLoop() {
-  ErrorReply goodbye;
-  goodbye.code = StatusCode::kUnavailable;
-  goodbye.message = "server draining; stream closed";
-  const std::string frame = EncodeFrame(0, FrameBody{goodbye});
+  const SharedFrame frame = std::make_shared<const std::string>(
+      EncodeFrame(0, FrameBody{ErrorReply{StatusCode::kUnavailable,
+                                          "server draining; stream closed"}}));
   std::vector<std::uint64_t> done;
   for (auto& [id, conn] : conns_) {
     if (!conn->subscribed || conn->closing()) continue;

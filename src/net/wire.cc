@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <iterator>
 
 namespace mqpi::net {
 
@@ -318,50 +319,23 @@ void EncodeBody(WireWriter* w, const SnapshotFrame& p) {
 }
 
 FrameType TypeOf(const FrameBody& body, bool full_snapshot) {
-  struct Visitor {
-    bool full;
-    FrameType operator()(const SubmitRequest&) { return FrameType::kSubmit; }
-    FrameType operator()(const SubmitReply&) {
-      return FrameType::kSubmitReply;
-    }
-    FrameType operator()(const CancelRequest&) { return FrameType::kCancel; }
-    FrameType operator()(const CancelReply&) {
-      return FrameType::kCancelReply;
-    }
-    FrameType operator()(const ProgressRequest&) {
-      return FrameType::kProgress;
-    }
-    FrameType operator()(const ProgressReply&) {
-      return FrameType::kProgressReply;
-    }
-    FrameType operator()(const SubscribeRequest&) {
-      return FrameType::kSubscribe;
-    }
-    FrameType operator()(const SubscribeReply&) {
-      return FrameType::kSubscribeReply;
-    }
-    FrameType operator()(const UnsubscribeRequest&) {
-      return FrameType::kUnsubscribe;
-    }
-    FrameType operator()(const UnsubscribeReply&) {
-      return FrameType::kUnsubscribeReply;
-    }
-    FrameType operator()(const WhatIfRequest&) { return FrameType::kWhatIf; }
-    FrameType operator()(const WhatIfReply&) {
-      return FrameType::kWhatIfReply;
-    }
-    FrameType operator()(const PingRequest&) { return FrameType::kPing; }
-    FrameType operator()(const PongReply&) { return FrameType::kPong; }
-    FrameType operator()(const StatsRequest&) { return FrameType::kStats; }
-    FrameType operator()(const StatsReply&) {
-      return FrameType::kStatsReply;
-    }
-    FrameType operator()(const ErrorReply&) { return FrameType::kError; }
-    FrameType operator()(const SnapshotFrame&) {
-      return full ? FrameType::kSnapshotFull : FrameType::kSnapshotDelta;
-    }
-  };
-  return std::visit(Visitor{full_snapshot}, body);
+  // FrameBody's alternatives, in declaration order (the round-trip
+  // property test decodes every type back into its own alternative).
+  static constexpr FrameType kTypes[] = {
+      FrameType::kSubmit,         FrameType::kSubmitReply,
+      FrameType::kCancel,         FrameType::kCancelReply,
+      FrameType::kProgress,       FrameType::kProgressReply,
+      FrameType::kSubscribe,      FrameType::kSubscribeReply,
+      FrameType::kUnsubscribe,    FrameType::kUnsubscribeReply,
+      FrameType::kWhatIf,         FrameType::kWhatIfReply,
+      FrameType::kPing,           FrameType::kPong,
+      FrameType::kStats,          FrameType::kStatsReply,
+      FrameType::kError,          FrameType::kSnapshotFull};
+  static_assert(std::size(kTypes) == std::variant_size_v<FrameBody>);
+  if (std::holds_alternative<SnapshotFrame>(body) && !full_snapshot) {
+    return FrameType::kSnapshotDelta;
+  }
+  return kTypes[body.index()];
 }
 
 }  // namespace

@@ -7,8 +7,7 @@
 namespace mqpi::recover {
 
 std::string EncodeSnapshotBytes(const service::SnapshotPtr& snapshot) {
-  net::DeltaEncoder encoder;  // fresh: first Encode is a full frame
-  return encoder.Encode(snapshot);
+  return net::DeltaEncoder::Encode(/*base=*/nullptr, *snapshot);
 }
 
 Status Checkpoint(service::PiService* service, DurableLog* log) {

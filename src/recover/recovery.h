@@ -43,8 +43,8 @@ class Catalog;
 
 namespace mqpi::recover {
 
-/// Wire-encodes `snapshot` as a SNAPSHOT_FULL frame via a fresh
-/// per-subscriber encoder — the canonical byte image checkpoint
+/// Wire-encodes `snapshot` as a SNAPSHOT_FULL frame (the fan-out's
+/// encoder with no base) — the canonical byte image checkpoint
 /// verification and the differential tests compare.
 std::string EncodeSnapshotBytes(const service::SnapshotPtr& snapshot);
 

@@ -10,13 +10,16 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -357,18 +360,17 @@ TEST(WireFormatTest, MultipleFramesDecodeInSequenceFromOneBuffer) {
 // ---- delta encoder ----------------------------------------------------------
 
 TEST(DeltaEncoderTest, FirstContactIsFullThenOnlyChangedRows) {
-  DeltaEncoder encoder;
   bool full = false;
 
   const auto s1 = MakeSnapshot(1, {Row(1, 0.1), Row(2, 0.5), Row(3, 0.9)});
-  std::string f1 = encoder.Encode(s1, &full);
+  std::string f1 = DeltaEncoder::Encode(nullptr, *s1, &full);
   EXPECT_TRUE(full);
 
   // Only row 2 changes.
   auto rows = s1->queries;
   rows[1].fraction_done = 0.6;
   const auto s2 = MakeSnapshot(2, rows);
-  std::string f2 = encoder.Encode(s2, &full);
+  std::string f2 = DeltaEncoder::Encode(s1.get(), *s2, &full);
   EXPECT_FALSE(full);
 
   Frame decoded;
@@ -382,12 +384,11 @@ TEST(DeltaEncoderTest, FirstContactIsFullThenOnlyChangedRows) {
   ASSERT_EQ(frame.rows.size(), 1u);
   EXPECT_EQ(frame.rows[0].id, 2u);
   EXPECT_EQ(frame.base_sequence, 1u);
-  EXPECT_EQ(frame.total_rows, 3u);
-  EXPECT_EQ(encoder.stats().rows_skipped, 2u);
+  EXPECT_EQ(frame.total_rows, 3u);  // the two unchanged rows elided
 
   // Nothing changes: a header-only delta, never an empty string.
   const auto s3 = MakeSnapshot(3, rows);
-  std::string f3 = encoder.Encode(s3, &full);
+  std::string f3 = DeltaEncoder::Encode(s2.get(), *s3, &full);
   EXPECT_FALSE(full);
   ASSERT_EQ(TryDecodeFrame(f3.data(), f3.size(), kMaxPayloadBytes, &decoded,
                            &consumed, &error),
@@ -396,16 +397,14 @@ TEST(DeltaEncoderTest, FirstContactIsFullThenOnlyChangedRows) {
 }
 
 TEST(DeltaEncoderTest, NewQueriesRideDeltasVanishedIdsForceFull) {
-  DeltaEncoder encoder;
   bool full = false;
 
   const auto s1 = MakeSnapshot(1, {Row(1, 0.1), Row(2, 0.2)});
-  encoder.Encode(s1, &full);
 
   // A new id appended: still a delta, carrying just the new row.
   const auto s2 =
       MakeSnapshot(2, {Row(1, 0.1), Row(2, 0.2), Row(7, 0.0)});
-  std::string f2 = encoder.Encode(s2, &full);
+  std::string f2 = DeltaEncoder::Encode(s1.get(), *s2, &full);
   EXPECT_FALSE(full);
   Frame decoded;
   std::size_t consumed = 0;
@@ -418,7 +417,7 @@ TEST(DeltaEncoderTest, NewQueriesRideDeltasVanishedIdsForceFull) {
 
   // Id 2 vanishes (stream restart): full-frame fallback.
   const auto s3 = MakeSnapshot(3, {Row(1, 0.1), Row(7, 0.1)});
-  encoder.Encode(s3, &full);
+  DeltaEncoder::Encode(s2.get(), *s3, &full);
   EXPECT_TRUE(full);
 }
 
@@ -436,17 +435,15 @@ TEST(DeltaEncoderTest, BitwiseComparisonTreatsNanAndInfSanely) {
 }
 
 TEST(DeltaEncoderTest, CoalescingSkippedSnapshotsYieldsNetDelta) {
-  DeltaEncoder encoder;
   bool full = false;
   const auto s1 = MakeSnapshot(1, {Row(1, 0.1), Row(2, 0.2)});
-  encoder.Encode(s1, &full);
 
   // The subscriber misses sequences 2..9; encoding 10 directly gives
   // one delta with the net change, based on sequence 1.
   auto rows = s1->queries;
   rows[0].fraction_done = 0.9;
   const auto s10 = MakeSnapshot(10, rows);
-  std::string f = encoder.Encode(s10, &full);
+  std::string f = DeltaEncoder::Encode(s1.get(), *s10, &full);
   EXPECT_FALSE(full);
   Frame decoded;
   std::size_t consumed = 0;
@@ -464,11 +461,13 @@ TEST(DeltaEncoderTest, CoalescingSkippedSnapshotsYieldsNetDelta) {
 // ---- snapshot view (client-side merge) --------------------------------------
 
 TEST(SnapshotViewTest, FullThenDeltasRebuildTheSnapshot) {
-  DeltaEncoder encoder;
+  SnapshotPtr last;
   SnapshotView view;
   auto apply = [&](const SnapshotPtr& snapshot) {
     bool full = false;
-    const std::string bytes = encoder.Encode(snapshot, &full);
+    const std::string bytes =
+        DeltaEncoder::Encode(last.get(), *snapshot, &full);
+    last = snapshot;
     Frame decoded;
     std::size_t consumed = 0;
     Status error;
@@ -584,30 +583,39 @@ TEST(SnapshotFanoutTest, PublishWallNsStampsAreReadable) {
 TEST(SubscriptionShedTest, OverflowClearsQueueAndLeavesErrorGoodbye) {
   service::MetricsRegistry registry;
   NetMetrics metrics(&registry);
+  SnapshotFanout fanout(metrics.frames_encoded);
   Subscription::Options options;
   options.max_queued_frames = 4;
   Subscription subscription(options);
+  DeliveryTally tally;
+  auto deliver = [&](std::uint64_t seq, std::vector<QueryProgress> rows) {
+    fanout.Publish(MakeSnapshot(seq, std::move(rows)));
+    FrameLookup frames(&fanout, fanout.Latest());
+    return subscription.Deliver(&frames, &tally, &metrics);
+  };
 
   // Nobody drains: the 5th delivery overflows and sheds.
   bool shed_seen = false;
   for (std::uint64_t seq = 1; seq <= 8; ++seq) {
-    if (!subscription.Deliver(MakeSnapshot(seq, {Row(1, 0.1 * seq)}),
-                              &metrics)) {
+    if (!deliver(seq, {Row(1, 0.1 * seq)})) {
       shed_seen = true;
       break;
     }
   }
+  EXPECT_EQ(tally.frames, 4u);
+  EXPECT_EQ(tally.full_frames, 1u);
+  EXPECT_EQ(metrics.frames_encoded->value(), 5u);
   ASSERT_TRUE(shed_seen);
   EXPECT_TRUE(subscription.shed());
   EXPECT_EQ(metrics.slow_consumers_shed->value(), 1u);
 
   // The queue holds exactly one frame: the kResourceExhausted goodbye.
-  std::string bytes;
+  SharedFrame bytes;
   ASSERT_TRUE(subscription.TryPop(&bytes));
   Frame decoded;
   std::size_t consumed = 0;
   Status error;
-  ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes,
+  ASSERT_EQ(TryDecodeFrame(bytes->data(), bytes->size(), kMaxPayloadBytes,
                            &decoded, &consumed, &error),
             DecodeResult::kFrame);
   const auto* goodbye = std::get_if<ErrorReply>(&decoded.body);
@@ -615,7 +623,7 @@ TEST(SubscriptionShedTest, OverflowClearsQueueAndLeavesErrorGoodbye) {
   EXPECT_EQ(goodbye->code, StatusCode::kResourceExhausted);
   EXPECT_FALSE(subscription.TryPop(&bytes));
   // Deliveries after the shed are refused.
-  EXPECT_FALSE(subscription.Deliver(MakeSnapshot(9, {}), &metrics));
+  EXPECT_FALSE(deliver(9, {}));
 }
 
 TEST(SubscriptionShedTest, PoolShedsStalledConsumerAndOthersKeepFlowing) {
@@ -703,6 +711,62 @@ TEST(FanoutConcurrencyTest, ChurnDuringPublicationIsRaceFree) {
   pool.Stop();
 }
 
+// A subscribe racing a publish must still end at the final sequence.
+// Subscribe joins its shard before it seeds from Latest(), so a publish
+// landing in between is swept with the new subscriber on the roster.
+// (Seeding first let a worker sweep that publish without it, mark the
+// epoch swept, and leave it one sequence behind until the next publish:
+// in manual mode, forever.) Each round publishes once, while the
+// round's subscriber is inside Subscribe (a wide snapshot keeps its
+// seed encode busy), then stops and waits for that subscriber.
+TEST(FanoutConcurrencyTest, SubscribesRacingPublishesReachTheFinalSequence) {
+  constexpr int kRounds = 200;
+  service::MetricsRegistry registry;
+  NetMetrics metrics(&registry);
+  SnapshotFanout fanout;
+  SubscriberPool::Options options;
+  options.threads = 2;
+  options.subscription.max_queued_frames = kRounds + 8;  // never shed
+  options.subscription.max_queued_bytes = std::size_t{1} << 30;
+  SubscriberPool pool(&fanout, &metrics, options);
+  pool.Start();
+  std::vector<QueryProgress> rows;
+  for (QueryId id = 1; id <= 2000; ++id) rows.push_back(Row(id, 0.5));
+  fanout.Publish(MakeSnapshot(1, rows));
+
+  std::atomic<int> subscribing{0};
+  std::thread publisher([&] {
+    for (int round = 2; round <= kRounds; ++round) {
+      while (subscribing.load(std::memory_order_acquire) < round) {
+        std::this_thread::yield();
+      }
+      fanout.Publish(MakeSnapshot(static_cast<std::uint64_t>(round), rows));
+    }
+  });
+  std::vector<std::shared_ptr<Subscription>> subs;
+  for (int round = 2; round <= kRounds; ++round) {
+    subscribing.store(round, std::memory_order_release);
+    subs.push_back(pool.Subscribe());
+    const auto target = static_cast<std::uint64_t>(round);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (subs.back()->delivered_sequence() < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (subs.back()->delivered_sequence() != target) {
+      ADD_FAILURE() << "subscriber of round " << round << " stuck at "
+                    << subs.back()->delivered_sequence();
+      // Release the publisher: the remaining rounds need no subscriber.
+      subscribing.store(kRounds, std::memory_order_release);
+      break;
+    }
+  }
+  publisher.join();
+  EXPECT_EQ(metrics.slow_consumers_shed->value(), 0u);
+  pool.Stop();
+}
+
 TEST(FanoutConcurrencyTest, StopWithLiveSubscribersIsClean) {
   service::MetricsRegistry registry;
   NetMetrics metrics(&registry);
@@ -724,8 +788,382 @@ TEST(FanoutConcurrencyTest, StopWithLiveSubscribersIsClean) {
   }
   pool.Stop();  // live subscriptions still registered: must not hang
   // Subscriptions stay poppable after the pool is gone.
-  std::string bytes;
+  SharedFrame bytes;
   EXPECT_TRUE(subs[0]->TryPop(&bytes));
+}
+
+// ---- differential: shared frames vs the per-subscriber encoder --------------
+
+// The encoder every subscriber owned before frames were shared: it
+// remembers the last snapshot it encoded for its one subscriber and
+// diffs the next against it. Kept here, independent of the library, as
+// the reference the shared frames must match byte for byte.
+class ReferenceEncoder {
+ public:
+  std::string Encode(const SnapshotPtr& next) {
+    SnapshotFrame frame;
+    frame.sequence = next->sequence;
+    frame.sim_time = next->sim_time;
+    frame.num_running = next->num_running;
+    frame.num_queued = next->num_queued;
+    frame.num_blocked = next->num_blocked;
+    frame.measured_rate = next->measured_rate;
+    frame.quiescent_eta = next->quiescent_eta;
+    frame.age_quanta = next->age_quanta;
+    frame.degraded = next->degraded;
+    frame.total_rows = static_cast<std::uint32_t>(next->queries.size());
+    frame.shard_loads = next->shard_loads;
+    bool full = last_ == nullptr;
+    if (!full) {
+      const auto& old_rows = last_->queries;
+      std::size_t oi = 0;
+      for (const auto& row : next->queries) {
+        if (oi < old_rows.size() && old_rows[oi].id == row.id) {
+          if (RowBits(old_rows[oi], /*wire_delta_fields=*/true) !=
+              RowBits(row, /*wire_delta_fields=*/true)) {
+            frame.rows.push_back(row);
+          }
+          ++oi;
+        } else if (oi < old_rows.size() && old_rows[oi].id < row.id) {
+          full = true;
+          break;
+        } else {
+          frame.rows.push_back(row);
+        }
+      }
+      if (oi < old_rows.size()) full = true;
+      frame.base_sequence = last_->sequence;
+    }
+    if (full) {
+      frame.rows = next->queries;
+      frame.base_sequence = 0;
+    }
+    last_ = next;
+    return EncodeFrame(0, FrameBody(std::move(frame)), full);
+  }
+  void Reset() { last_.reset(); }
+
+  // The row's bits; `wire_delta_fields` keeps only the fields a delta
+  // compares (everything but id, session, label and arrival time).
+  static std::string RowBits(const QueryProgress& r, bool wire_delta_fields) {
+    std::string out;
+    auto put = [&out](const auto& v) {
+      out.append(reinterpret_cast<const char*>(&v), sizeof v);
+    };
+    put(r.state);
+    put(r.priority);
+    put(r.degraded);
+    put(r.queue_position);
+    for (double v : {r.weight, r.fraction_done, r.speed, r.eta_single,
+                     r.eta_multi, r.completed_work, r.remaining_cost,
+                     r.start_time, r.finish_time}) {
+      put(v);
+    }
+    if (!wire_delta_fields) {
+      put(r.id);
+      put(r.session_id);
+      put(r.arrival_time);
+      out += r.label;
+    }
+    return out;
+  }
+
+ private:
+  SnapshotPtr last_;
+};
+
+// The view holds exactly `snapshot`: header fields and every row,
+// compared bitwise.
+void ExpectViewEquals(const SnapshotView& view, const ProgressSnapshot& snapshot,
+                      const std::string& who) {
+  EXPECT_EQ(view.sequence(), snapshot.sequence) << who;
+  const SimTime view_time = view.sim_time();
+  EXPECT_EQ(std::memcmp(&view_time, &snapshot.sim_time, sizeof view_time), 0)
+      << who;
+  EXPECT_EQ(view.num_running(), snapshot.num_running) << who;
+  EXPECT_EQ(view.num_queued(), snapshot.num_queued) << who;
+  EXPECT_EQ(view.degraded(), snapshot.degraded) << who;
+  const std::vector<QueryProgress> rows = view.Rows();
+  ASSERT_EQ(rows.size(), snapshot.queries.size()) << who;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(ReferenceEncoder::RowBits(rows[i], false),
+              ReferenceEncoder::RowBits(snapshot.queries[i], false))
+        << who << " row " << i;
+  }
+}
+
+// Checks one received push against the subscriber's reference encoder
+// and applies it to its view.
+struct StreamChecker {
+  const std::map<std::uint64_t, SnapshotPtr>* published = nullptr;
+  ReferenceEncoder reference;
+  SnapshotView view;
+  int frames = 0;
+
+  void OnSnapshot(const std::string& bytes, const Frame& frame,
+                  const std::string& who) {
+    const auto& body = std::get<SnapshotFrame>(frame.body);
+    const auto it = published->find(body.sequence);
+    ASSERT_NE(it, published->end())
+        << who << " got unpublished sequence " << body.sequence;
+    EXPECT_EQ(bytes, reference.Encode(it->second))
+        << who << " frame for sequence " << body.sequence;
+    EXPECT_TRUE(
+        view.Apply(body, frame.header.type == FrameType::kSnapshotFull).ok())
+        << who;
+    ++frames;
+  }
+};
+
+// A raw TCP subscriber that sees every pushed frame's exact bytes.
+class RawTcpSubscriber {
+ public:
+  RawTcpSubscriber(std::uint16_t port,
+                   const std::map<std::uint64_t, SnapshotPtr>* published)
+      : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    checker_.published = published;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof addr) == 0;
+  }
+  ~RawTcpSubscriber() { ::close(fd_); }
+
+  bool connected() const { return connected_; }
+  const SnapshotView& view() const { return checker_.view; }
+  int frames() const { return checker_.frames; }
+
+  void Send(const FrameBody& body) {
+    const std::string bytes = EncodeFrame(next_request_id_++, body);
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  // Reads what arrives within `timeout_ms` and checks every frame.
+  void Drain(int timeout_ms, const std::string& who) {
+    pollfd pfd{fd_, POLLIN, 0};
+    while (::poll(&pfd, 1, timeout_ms) > 0) {
+      char chunk[64 * 1024];
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
+      if (n <= 0) break;
+      buf_.append(chunk, static_cast<std::size_t>(n));
+      timeout_ms = 0;
+    }
+    for (;;) {
+      Frame frame;
+      std::size_t consumed = 0;
+      Status error;
+      const DecodeResult r =
+          TryDecodeFrame(buf_.data() + pos_, buf_.size() - pos_,
+                         kMaxPayloadBytes, &frame, &consumed, &error);
+      if (r != DecodeResult::kFrame) {
+        ASSERT_NE(r, DecodeResult::kError) << who << ": " << error.ToString();
+        break;
+      }
+      const std::string bytes = buf_.substr(pos_, consumed);
+      pos_ += consumed;
+      if (std::holds_alternative<SnapshotFrame>(frame.body)) {
+        checker_.OnSnapshot(bytes, frame, who);
+      } else if (std::holds_alternative<SubscribeReply>(frame.body)) {
+        // Every SUBSCRIBE restarts the stream with a full frame.
+        checker_.reference.Reset();
+      } else if (const auto* e = std::get_if<ErrorReply>(&frame.body)) {
+        ADD_FAILURE() << who << " error frame: " << e->message;
+      }
+    }
+    buf_.erase(0, pos_);
+    pos_ = 0;
+  }
+
+  void WaitFor(std::uint64_t sequence, const std::string& who) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (checker_.view.sequence() < sequence &&
+           std::chrono::steady_clock::now() < deadline) {
+      Drain(10, who);
+    }
+  }
+
+ private:
+  const int fd_;
+  bool connected_ = false;
+  std::string buf_;
+  std::size_t pos_ = 0;
+  std::uint64_t next_request_id_ = 1;
+  StreamChecker checker_;
+};
+
+// Random publishes, pumps and subscriber churn against one server: in-
+// process subscribers (pumped eagerly or lagging, stalled until shed,
+// subscribed mid-stream, unsubscribed) and TCP subscribers (lagging,
+// resubscribed on the same stream, unsubscribed and resubscribed). Two
+// pool workers and the loop thread share the frame memo. Every frame a
+// subscriber pops must equal what the per-subscriber reference encoder
+// produces for the snapshots that subscriber was sent, and every live
+// view must end bitwise equal to PiService::snapshot().
+TEST(FanoutDifferentialTest, SharedFramesMatchPerSubscriberReference) {
+  storage::Catalog catalog;
+  PiService service(&catalog, ManualOptions());
+  PiServerOptions server_options;
+  server_options.pool_threads = 2;
+  server_options.subscription.max_queued_frames = 24;
+  PiServer server(&service, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  auto session = service.OpenSession("diff");
+
+  std::map<std::uint64_t, SnapshotPtr> published;
+  auto record = [&] {
+    const SnapshotPtr latest = server.fanout()->Latest();
+    ASSERT_NE(latest, nullptr);
+    const auto [it, inserted] = published.emplace(latest->sequence, latest);
+    // A sequence is never published twice with different contents.
+    EXPECT_EQ(it->second, latest);
+  };
+  record();
+
+  struct InProcess {
+    std::shared_ptr<Subscription> sub;
+    StreamChecker checker;
+    bool lagging = false;
+    bool stalled = false;
+    bool gone = false;  // shed (goodbye consumed) or unsubscribed
+  };
+  std::vector<std::unique_ptr<InProcess>> locals;
+  auto add_local = [&](bool lagging) {
+    auto local = std::make_unique<InProcess>();
+    local->sub = server.pool()->Subscribe();
+    local->checker.published = &published;
+    local->lagging = lagging;
+    locals.push_back(std::move(local));
+  };
+  auto pump = [&](std::size_t i) {
+    InProcess& local = *locals[i];
+    const std::string who = "local " + std::to_string(i);
+    SharedFrame bytes;
+    while (!local.gone && local.sub->TryPop(&bytes)) {
+      Frame frame;
+      std::size_t consumed = 0;
+      Status error;
+      ASSERT_EQ(TryDecodeFrame(bytes->data(), bytes->size(),
+                               kMaxPayloadBytes, &frame, &consumed, &error),
+                DecodeResult::kFrame)
+          << who;
+      ASSERT_EQ(consumed, bytes->size()) << who;
+      if (std::holds_alternative<ErrorReply>(frame.body)) {
+        EXPECT_TRUE(local.sub->shed()) << who;
+        local.gone = true;
+      } else {
+        local.checker.OnSnapshot(*bytes, frame, who);
+      }
+    }
+  };
+  std::vector<std::unique_ptr<RawTcpSubscriber>> tcps;
+  auto add_tcp = [&] {
+    tcps.push_back(
+        std::make_unique<RawTcpSubscriber>(server.port(), &published));
+    ASSERT_TRUE(tcps.back()->connected());
+    tcps.back()->Send(SubscribeRequest{-1});
+  };
+
+  for (int i = 0; i < 4; ++i) add_local(/*lagging=*/i % 2 == 1);
+  for (int i = 0; i < 2; ++i) add_tcp();
+  locals[0]->sub->StallPops(1 << 30);  // never drains: must be shed
+  locals[0]->stalled = true;
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(*session->Submit(QuerySpec::Synthetic(50.0 + 30.0 * i)));
+  }
+
+  Rng rng(20261018);
+  for (int step = 0; step < 300; ++step) {
+    const auto op = rng.UniformInt(0, 99);
+    if (op < 30) {
+      ASSERT_TRUE(service.Advance(0.1).ok());
+      record();
+    } else if (op < 36) {
+      service.PublishNow();  // often no row changed: header-only deltas
+      record();
+    } else if (op < 42) {
+      ids.push_back(*session->Submit(
+          QuerySpec::Synthetic(rng.Uniform(5.0, 200.0))));
+    } else if (op < 48) {
+      const QueryId id = ids[rng.UniformInt(0, ids.size() - 1)];
+      (void)(rng.UniformInt(0, 1) == 0 ? session->Block(id)
+                                        : session->Resume(id));
+    } else if (op < 66) {
+      // Pump every eager subscriber; laggers only now and then.
+      for (std::size_t i = 0; i < locals.size(); ++i) {
+        if (!locals[i]->stalled &&
+            (!locals[i]->lagging || rng.UniformInt(0, 3) == 0)) {
+          pump(i);
+        }
+      }
+    } else if (op < 78) {
+      const std::size_t i = rng.UniformInt(0, tcps.size() - 1);
+      tcps[i]->Drain(/*timeout_ms=*/rng.UniformInt(0, 2),
+                     "tcp " + std::to_string(i));
+    } else if (op < 83) {
+      add_local(/*lagging=*/rng.UniformInt(0, 1) == 1);
+    } else if (op < 85) {
+      const std::size_t i = rng.UniformInt(0, locals.size() - 1);
+      if (!locals[i]->gone) {
+        server.pool()->Unsubscribe(locals[i]->sub);
+        locals[i]->gone = true;
+      }
+    } else if (op < 90) {
+      // Same stream again (shard 0 is the unsharded stream's synonym),
+      // as a gap-healing client does: it restarts from a full frame.
+      tcps[rng.UniformInt(0, tcps.size() - 1)]->Send(
+          SubscribeRequest{static_cast<std::int32_t>(rng.UniformInt(-1, 0))});
+    } else if (op < 94) {
+      RawTcpSubscriber& tcp = *tcps[rng.UniformInt(0, tcps.size() - 1)];
+      tcp.Send(UnsubscribeRequest{});
+      tcp.Send(SubscribeRequest{-1});
+    } else if (op < 96) {
+      add_tcp();
+    }
+  }
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  record();
+  const SnapshotPtr final_snapshot = service.snapshot();
+  ASSERT_EQ(final_snapshot, server.fanout()->Latest());
+
+  int live_locals = 0;
+  for (std::size_t i = 0; i < locals.size(); ++i) {
+    InProcess& local = *locals[i];
+    if (local.stalled) {
+      EXPECT_TRUE(local.sub->shed()) << "local " << i;
+      continue;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!local.gone && !local.sub->shed() &&
+           local.checker.view.sequence() < final_snapshot->sequence &&
+           std::chrono::steady_clock::now() < deadline) {
+      pump(i);
+      std::this_thread::yield();
+    }
+    pump(i);
+    if (local.gone || local.sub->shed()) continue;  // a lagger may shed
+    ++live_locals;
+    ExpectViewEquals(local.checker.view, *final_snapshot,
+                     "local " + std::to_string(i));
+  }
+  EXPECT_GE(live_locals, 2);
+  for (std::size_t i = 0; i < tcps.size(); ++i) {
+    const std::string who = "tcp " + std::to_string(i);
+    tcps[i]->WaitFor(final_snapshot->sequence, who);
+    EXPECT_GT(tcps[i]->frames(), 0) << who;
+    ExpectViewEquals(tcps[i]->view(), *final_snapshot, who);
+  }
+  // Shared frames: far fewer encodes than deliveries.
+  EXPECT_LT(server.metrics()->frames_encoded->value(),
+            server.metrics()->full_frames->value() +
+                server.metrics()->delta_frames->value());
+  session->Close();
+  server.Stop();
 }
 
 TEST(ServerConcurrencyTest, TcpSubscribersDuringTickerPublishes) {
@@ -871,6 +1309,28 @@ TEST_F(TcpServerTest, SubscribePushesFullThenDeltas) {
   ASSERT_TRUE(client_->Unsubscribe().ok());
 }
 
+// A repeat SUBSCRIBE on the same stream restarts it from a full frame:
+// that is how a client heals a gap (ResilientClient resets its view and
+// resubscribes). A delta against the connection's old cursor would not
+// apply to the reset view.
+TEST_F(TcpServerTest, ResubscribeRestartsTheStreamWithAFullFrame) {
+  ASSERT_TRUE(client_->SubmitSynthetic(300.0).ok());
+  ASSERT_TRUE(client_->Subscribe().ok());
+  ASSERT_TRUE(service_->Advance(0.1).ok());
+  auto seq = client_->WaitForSequence(service_->snapshot()->sequence, 5.0);
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  EXPECT_EQ(client_->view().fulls_applied(), 1u);
+
+  client_->mutable_view()->Reset();
+  const Status resubscribed = client_->Subscribe();
+  ASSERT_TRUE(resubscribed.ok()) << resubscribed.ToString();
+  ASSERT_TRUE(service_->Advance(0.1).ok());
+  seq = client_->WaitForSequence(service_->snapshot()->sequence, 5.0);
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  EXPECT_EQ(client_->view().fulls_applied(), 2u);
+  EXPECT_EQ(client_->view().rows(), 1u);
+}
+
 TEST_F(TcpServerTest, WhatIfAnswersOverTheWire) {
   auto target = client_->SubmitSynthetic(500.0);
   auto rival = client_->SubmitSynthetic(500.0);
@@ -999,16 +1459,18 @@ TEST(NetChaosTest, SlowConsumerFaultStreamIsSeedReplayable) {
     Subscription::Options options;
     options.max_queued_frames = 3;
     Subscription subscription(options);
+    SnapshotFanout fanout;
+    DeliveryTally tally;
     int shed_at = -1;
-    std::string bytes;
+    SharedFrame bytes;
     for (int i = 0; i < 200; ++i) {
       if (injector.ShouldFire(fault::kNetSlowConsumer)) {
         subscription.StallPops(2);
       }
-      if (!subscription.Deliver(
-              MakeSnapshot(static_cast<std::uint64_t>(i + 1),
-                           {Row(1, 0.001 * i)}),
-              &metrics)) {
+      fanout.Publish(MakeSnapshot(static_cast<std::uint64_t>(i + 1),
+                                  {Row(1, 0.001 * i)}));
+      FrameLookup frames(&fanout, fanout.Latest());
+      if (!subscription.Deliver(&frames, &tally, &metrics)) {
         shed_at = i;
         break;
       }

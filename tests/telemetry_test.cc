@@ -326,6 +326,50 @@ TEST_F(TelemetryServerTest, MetricsEndpointServesPrometheusText) {
   session->Close();
 }
 
+// /metrics separates frames encoded from frames delivered: subscribers
+// at the same stream position share one encode.
+TEST_F(TelemetryServerTest, MetricsCountFramesEncodedOncePerPosition) {
+  auto session = service_->OpenSession("encode");
+  ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(100.0)).ok());
+  service_->PublishNow();
+  std::vector<net::LocalSubscriber> subs;
+  for (int i = 0; i < 3; ++i) subs.emplace_back(server_->pool()->Subscribe());
+  ASSERT_TRUE(service_->Advance(0.1).ok());
+  const std::uint64_t target = service_->snapshot()->sequence;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (auto& sub : subs) {
+    while (sub.view().sequence() < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      sub.Pump();
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(sub.view().sequence(), target);
+  }
+  // Pool workers add their deliveries to the counters once per sweep,
+  // after the frames are already poppable.
+  while (server_->metrics()->delta_frames->value() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+
+  const std::string response =
+      HttpGet(server_->http_port(), "GET /metrics HTTP/1.1");
+  auto counter = [&](const std::string& name) -> long {
+    const std::size_t at = response.find("\n" + name + " ");
+    if (at == std::string::npos) return -1;
+    return std::stol(response.substr(at + name.size() + 2));
+  };
+  EXPECT_NE(response.find("# TYPE net_frames_encoded counter"),
+            std::string::npos);
+  // One full frame shared by the three seeds, one delta shared by the
+  // three deliveries of the advance.
+  EXPECT_EQ(counter("net_frames_encoded"), 2);
+  EXPECT_EQ(counter("net_full_frames"), 3);
+  EXPECT_EQ(counter("net_delta_frames"), 3);
+  session->Close();
+}
+
 TEST_F(TelemetryServerTest, HealthzReportsLiveTicker) {
   service_->PublishNow();
   const std::string response =

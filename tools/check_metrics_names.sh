@@ -65,6 +65,7 @@ recover.checkpoints_written
 service.drains
 net.client.reconnects
 net.client.resubscribes
+net.frames_encoded
 coord.merges
 coord.rebalance_hints
 "

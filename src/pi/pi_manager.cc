@@ -26,20 +26,23 @@ PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
 
 void PiManager::OnQueryEvent(const sched::QueryEvent& event) {
   switch (event.kind) {
-    case sched::QueryEventKind::kSubmitted:
-      singles_
-          .try_emplace(event.info.id, event.info.id, kSingleSpeedAlpha,
-                       options_.single_speed_window)
-          .first->second.Observe(event.info, event.time);
-      break;
-    case sched::QueryEventKind::kFinished:
-    case sched::QueryEventKind::kAborted: {
-      // The final observation: the query leaves the slot holders
-      // AfterStep observes.
-      auto it = singles_.find(event.info.id);
-      if (it != singles_.end()) it->second.Observe(event.info, event.time);
+    case sched::QueryEventKind::kSubmitted: {
+      const std::size_t slot = db_->SlotOf(event.info.id);
+      if (slot >= singles_.size()) singles_.resize(slot + 1);
+      singles_[slot]
+          .emplace(event.info.id, kSingleSpeedAlpha,
+                   options_.single_speed_window)
+          .Observe(event.info, event.time);
       break;
     }
+    case sched::QueryEventKind::kFinished:
+    case sched::QueryEventKind::kAborted:
+      // The final observation: the query leaves the slot holders
+      // AfterStep observes.
+      if (SingleQueryPi* single = Single(event.info.id)) {
+        single->Observe(event.info, event.time);
+      }
+      break;
     default:
       // Block/resume/priority changes are seen by the next AfterStep,
       // like any other state between two quanta.
@@ -47,15 +50,25 @@ void PiManager::OnQueryEvent(const sched::QueryEvent& event) {
   }
 }
 
+SingleQueryPi* PiManager::Single(QueryId id) {
+  const std::size_t slot = db_->SlotOf(id);
+  if (slot >= singles_.size() || !singles_[slot].has_value()) return nullptr;
+  return &*singles_[slot];
+}
+
+const SingleQueryPi* PiManager::Single(QueryId id) const {
+  return const_cast<PiManager*>(this)->Single(id);
+}
+
 Result<SimTime> PiManager::EstimateSingle(QueryId id) const {
-  auto it = singles_.find(id);
-  if (it == singles_.end()) return kUnknown;  // never seen: no history
-  return it->second.EstimateRemainingTime();
+  const SingleQueryPi* single = Single(id);
+  if (single == nullptr) return kUnknown;  // never seen: no history
+  return single->EstimateRemainingTime();
 }
 
 double PiManager::SpeedOf(QueryId id) const {
-  auto it = singles_.find(id);
-  return it == singles_.end() ? 0.0 : it->second.speed();
+  const SingleQueryPi* single = Single(id);
+  return single == nullptr ? 0.0 : single->speed();
 }
 
 void PiManager::AfterStep() {
@@ -70,8 +83,7 @@ void PiManager::AfterStep() {
 
   for (const auto* slot_holders : {&running, &blocked}) {
     for (const auto& info : *slot_holders) {
-      auto it = singles_.find(info.id);
-      if (it != singles_.end()) it->second.Observe(info, now);
+      if (SingleQueryPi* single = Single(info.id)) single->Observe(info, now);
     }
   }
 }

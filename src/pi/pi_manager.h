@@ -8,9 +8,12 @@
 // single-query PI at submission, AfterStep() observes the running and
 // blocked queries, and a query's finish or abort event delivers its
 // final observation. No per-quantum work touches finished queries.
+// The single-query PIs are a column of the Rdbms query table, grown by
+// each kSubmitted event; slots submitted before attaching stay empty.
 #pragma once
 
-#include <unordered_map>
+#include <optional>
+#include <vector>
 
 #include "common/units.h"
 #include "pi/multi_query_pi.h"
@@ -61,12 +64,15 @@ class PiManager {
 
  private:
   void OnQueryEvent(const sched::QueryEvent& event);
+  /// The query's single-query PI; nullptr if it has none.
+  SingleQueryPi* Single(QueryId id);
+  const SingleQueryPi* Single(QueryId id) const;
 
   const sched::Rdbms* db_;
   PiManagerOptions options_;
   obs::Tracer* tracer_;  // the process-wide tracer, cached
   MultiQueryPi multi_;
-  std::unordered_map<QueryId, SingleQueryPi> singles_;
+  std::vector<std::optional<SingleQueryPi>> singles_;  // indexed by slot
 };
 
 }  // namespace mqpi::pi

@@ -12,25 +12,14 @@ namespace mqpi::sched {
 
 namespace {
 
-// Literal-backed names for trace events (TraceEvent stores pointers).
-const char* TraceEventName(QueryEventKind kind) {
-  switch (kind) {
-    case QueryEventKind::kSubmitted:
-      return "submitted";
-    case QueryEventKind::kStarted:
-      return "started";
-    case QueryEventKind::kBlocked:
-      return "blocked";
-    case QueryEventKind::kResumed:
-      return "resumed";
-    case QueryEventKind::kFinished:
-      return "finished";
-    case QueryEventKind::kAborted:
-      return "aborted";
-    case QueryEventKind::kPriorityChanged:
-      return "priority_changed";
-  }
-  return "unknown";
+Status UnknownQuery(QueryId id) {
+  return Status::NotFound("query " + std::to_string(id) + " unknown");
+}
+
+Status NotInState(QueryId id, QueryState state, const char* wanted) {
+  return Status::FailedPrecondition("query " + std::to_string(id) + " is " +
+                                    std::string(QueryStateName(state)) +
+                                    ", not " + wanted);
 }
 
 }  // namespace
@@ -73,7 +62,7 @@ std::string_view QueryStateName(QueryState state) {
 
 struct Rdbms::Record {
   QueryId id;
-  engine::QuerySpec spec;
+  std::string label;  // the spec's text, formatted once at Submit
   Priority priority;
   QueryState state;
   SimTime arrival_time;
@@ -106,8 +95,9 @@ void Rdbms::Emit(QueryEventKind kind, const Record& record) {
   ++load_epoch_;
   ++structural_epoch_;
   if (tracer_->enabled()) {
-    tracer_->Instant("query", TraceEventName(kind), record.id, "t",
-                     clock_.now());
+    // TraceEvent stores name pointers; the kind names are literals.
+    tracer_->Instant("query", QueryEventKindName(kind).data(), record.id,
+                     "t", clock_.now());
   }
   if (event_listeners_.empty()) return;
   QueryEvent event;
@@ -117,9 +107,9 @@ void Rdbms::Emit(QueryEventKind kind, const Record& record) {
   for (const auto& listener : event_listeners_) listener(event);
 }
 
-Rdbms::Record* Rdbms::Find(QueryId id) {
-  auto it = queries_.find(id);
-  return it == queries_.end() ? nullptr : it->second.get();
+Rdbms::Record* Rdbms::Find(QueryId id) const {
+  const std::size_t slot = SlotOf(id);
+  return slot == kNoSlot ? nullptr : queries_[slot].get();
 }
 
 Result<QueryId> Rdbms::Submit(const engine::QuerySpec& spec,
@@ -129,8 +119,8 @@ Result<QueryId> Rdbms::Submit(const engine::QuerySpec& spec,
   if (!prepared.ok()) return prepared.status();
 
   auto record = std::make_unique<Record>();
-  record->id = next_id_++;
-  record->spec = spec;
+  record->id = last_query_id() + 1;  // dense: the next slot
+  record->label = spec.ToString();
   record->priority = priority;
   record->state = QueryState::kQueued;
   record->arrival_time = clock_.now();
@@ -140,7 +130,7 @@ Result<QueryId> Rdbms::Submit(const engine::QuerySpec& spec,
 
   const QueryId id = record->id;
   Record* raw = record.get();
-  queries_.emplace(id, std::move(record));
+  queries_.push_back(std::move(record));
   admission_queue_.push_back(id);
   Emit(QueryEventKind::kSubmitted, *raw);
   AdmitFromQueue();
@@ -164,9 +154,7 @@ void Rdbms::AdmitFromQueue() {
 
 Status Rdbms::Abort(QueryId id) {
   Record* record = Find(id);
-  if (record == nullptr) {
-    return Status::NotFound("query " + std::to_string(id) + " unknown");
-  }
+  if (record == nullptr) return UnknownQuery(id);
   switch (record->state) {
     case QueryState::kFinished:
     case QueryState::kAborted:
@@ -189,13 +177,9 @@ Status Rdbms::Abort(QueryId id) {
 
 Status Rdbms::Block(QueryId id) {
   Record* record = Find(id);
-  if (record == nullptr) {
-    return Status::NotFound("query " + std::to_string(id) + " unknown");
-  }
+  if (record == nullptr) return UnknownQuery(id);
   if (record->state != QueryState::kRunning) {
-    return Status::FailedPrecondition(
-        "query " + std::to_string(id) + " is " +
-        std::string(QueryStateName(record->state)) + ", not running");
+    return NotInState(id, record->state, "running");
   }
   record->state = QueryState::kBlocked;
   record->deficit = 0.0;
@@ -205,13 +189,9 @@ Status Rdbms::Block(QueryId id) {
 
 Status Rdbms::Resume(QueryId id) {
   Record* record = Find(id);
-  if (record == nullptr) {
-    return Status::NotFound("query " + std::to_string(id) + " unknown");
-  }
+  if (record == nullptr) return UnknownQuery(id);
   if (record->state != QueryState::kBlocked) {
-    return Status::FailedPrecondition(
-        "query " + std::to_string(id) + " is " +
-        std::string(QueryStateName(record->state)) + ", not blocked");
+    return NotInState(id, record->state, "blocked");
   }
   record->state = QueryState::kRunning;
   Emit(QueryEventKind::kResumed, *record);
@@ -220,9 +200,7 @@ Status Rdbms::Resume(QueryId id) {
 
 Status Rdbms::SetPriority(QueryId id, Priority priority) {
   Record* record = Find(id);
-  if (record == nullptr) {
-    return Status::NotFound("query " + std::to_string(id) + " unknown");
-  }
+  if (record == nullptr) return UnknownQuery(id);
   if (record->state == QueryState::kFinished ||
       record->state == QueryState::kAborted) {
     return Status::FailedPrecondition("query " + std::to_string(id) +
@@ -235,13 +213,9 @@ Status Rdbms::SetPriority(QueryId id, Priority priority) {
 
 Status Rdbms::FastForward(QueryId id, WorkUnits work) {
   Record* record = Find(id);
-  if (record == nullptr) {
-    return Status::NotFound("query " + std::to_string(id) + " unknown");
-  }
+  if (record == nullptr) return UnknownQuery(id);
   if (record->state != QueryState::kRunning) {
-    return Status::FailedPrecondition(
-        "query " + std::to_string(id) + " is " +
-        std::string(QueryStateName(record->state)) + ", not running");
+    return NotInState(id, record->state, "running");
   }
   if (work < 0.0) {
     return Status::InvalidArgument("fast-forward work must be >= 0");
@@ -290,10 +264,7 @@ double Rdbms::ApplyStepFaults() {
     std::vector<QueryId> victims;
     victims.reserve(running_.size());
     for (QueryId id : running_) {
-      const Record* record = Find(id);
-      if (record != nullptr && record->state == QueryState::kRunning) {
-        victims.push_back(id);
-      }
+      if (Find(id)->state == QueryState::kRunning) victims.push_back(id);
     }
     if (!victims.empty()) {
       const QueryId victim = victims[fault_->PickIndex(
@@ -420,7 +391,7 @@ void Rdbms::StepOnce(SimTime dt) {
   if (options_.max_query_seconds > 0.0) {
     std::vector<QueryId> expired;
     for (QueryId id : running_) {
-      const Record& record = *queries_.at(id);
+      const Record& record = *Find(id);
       if (record.state == QueryState::kRunning &&
           record.start_time != kUnknown &&
           clock_.now() - record.start_time >
@@ -445,21 +416,14 @@ SimTime Rdbms::RunUntilIdle(SimTime deadline) {
 }
 
 bool Rdbms::Idle() const {
-  if (!admission_queue_.empty()) {
-    // Pending aborted entries don't count.
-    for (QueryId id : admission_queue_) {
-      auto it = queries_.find(id);
-      if (it != queries_.end() &&
-          it->second->state == QueryState::kQueued) {
-        return false;
-      }
-    }
+  // Pending aborted entries don't count.
+  for (QueryId id : admission_queue_) {
+    if (Find(id)->state == QueryState::kQueued) return false;
   }
   // Blocked queries hold slots but cannot make progress; they do not
   // prevent idleness on their own.
   for (QueryId id : running_) {
-    auto it = queries_.find(id);
-    if (it->second->state == QueryState::kRunning) return false;
+    if (Find(id)->state == QueryState::kRunning) return false;
   }
   return true;
 }
@@ -467,8 +431,7 @@ bool Rdbms::Idle() const {
 double Rdbms::EffectiveRate() const {
   int active = 0;
   for (QueryId id : running_) {
-    auto it = queries_.find(id);
-    if (it->second->state == QueryState::kRunning) ++active;
+    if (Find(id)->state == QueryState::kRunning) ++active;
   }
   return options_.processing_rate *
          perturbation_.AggregateRateFactor(active);
@@ -477,7 +440,7 @@ double Rdbms::EffectiveRate() const {
 QueryInfo Rdbms::MakeInfo(const Record& record) const {
   QueryInfo info;
   info.id = record.id;
-  info.label = record.spec.ToString();
+  info.label = record.label;
   info.priority = record.priority;
   info.weight = options_.weights.WeightOf(record.priority);
   info.state = record.state;
@@ -498,63 +461,52 @@ QueryInfo Rdbms::MakeInfo(const Record& record) const {
 }
 
 Result<QueryInfo> Rdbms::info(QueryId id) const {
-  auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    return Status::NotFound("query " + std::to_string(id) + " unknown");
+  const Record* record = Find(id);
+  if (record == nullptr) return UnknownQuery(id);
+  return MakeInfo(*record);
+}
+
+template <typename Ids>
+std::vector<QueryInfo> Rdbms::InfosInState(const Ids& ids,
+                                           QueryState state) const {
+  std::vector<QueryInfo> out;
+  for (QueryId id : ids) {
+    const Record& record = *Find(id);
+    if (record.state == state) out.push_back(MakeInfo(record));
   }
-  return MakeInfo(*it->second);
+  return out;
 }
 
 std::vector<QueryInfo> Rdbms::RunningQueries() const {
-  std::vector<QueryInfo> out;
-  for (QueryId id : running_) {
-    const auto& record = *queries_.at(id);
-    if (record.state == QueryState::kRunning) out.push_back(MakeInfo(record));
-  }
-  return out;
+  return InfosInState(running_, QueryState::kRunning);
 }
 
 std::vector<QueryInfo> Rdbms::BlockedQueries() const {
-  std::vector<QueryInfo> out;
-  for (QueryId id : running_) {
-    const auto& record = *queries_.at(id);
-    if (record.state == QueryState::kBlocked) out.push_back(MakeInfo(record));
-  }
-  return out;
+  return InfosInState(running_, QueryState::kBlocked);
 }
 
 Result<int> Rdbms::QueuePosition(QueryId id) const {
+  if (Find(id) == nullptr) return UnknownQuery(id);
   int position = 0;
   for (QueryId queued : admission_queue_) {
-    auto it = queries_.find(queued);
-    if (it == queries_.end() || it->second->state != QueryState::kQueued) {
+    if (Find(queued)->state != QueryState::kQueued) {
       continue;  // lazily-removed abort
     }
     if (queued == id) return position;
     ++position;
-  }
-  if (queries_.find(id) == queries_.end()) {
-    return Status::NotFound("query " + std::to_string(id) + " unknown");
   }
   return Status::FailedPrecondition("query " + std::to_string(id) +
                                     " is not queued");
 }
 
 std::vector<QueryInfo> Rdbms::QueuedQueries() const {
-  std::vector<QueryInfo> out;
-  for (QueryId id : admission_queue_) {
-    const auto& record = *queries_.at(id);
-    if (record.state == QueryState::kQueued) out.push_back(MakeInfo(record));
-  }
-  return out;
+  return InfosInState(admission_queue_, QueryState::kQueued);
 }
 
 std::vector<QueryInfo> Rdbms::AllQueries() const {
   std::vector<QueryInfo> out;
   out.reserve(queries_.size());
-  for (const auto& [id, record] : queries_) out.push_back(MakeInfo(*record));
-  std::sort(out.begin(), out.end(),
-            [](const QueryInfo& a, const QueryInfo& b) { return a.id < b.id; });
+  for (const auto& record : queries_) out.push_back(MakeInfo(*record));
   return out;
 }
 

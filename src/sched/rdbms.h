@@ -12,6 +12,10 @@
 // operator-granularity overshoot evens out), completions are detected,
 // and queued queries are admitted into freed slots.
 //
+// Every submitted query owns one slot of the query table; SlotOf maps
+// an id to it (id - 1, as ids are dense). PiManager and PiService keep
+// their per-query state in columns indexed by slot, not in id maps.
+//
 // Thread-safety: none — an Rdbms is single-threaded state, externally
 // synchronized by its owner. The concurrent frontend is
 // service::PiService, which serializes every call (including the
@@ -20,12 +24,12 @@
 // this class to reader threads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/priority.h"
@@ -206,12 +210,19 @@ class Rdbms {
   std::vector<QueryInfo> RunningQueries() const;   // excludes blocked
   std::vector<QueryInfo> BlockedQueries() const;
   std::vector<QueryInfo> QueuedQueries() const;    // admission-queue order
-  std::vector<QueryInfo> AllQueries() const;
+  std::vector<QueryInfo> AllQueries() const;       // slot (= id) order
 
   /// The newest query id issued (0 before the first submission). Ids
   /// are dense: Submit() takes the next id only once planning
   /// succeeded, so every id in [1, last_query_id()] names a query.
-  QueryId last_query_id() const { return next_id_ - 1; }
+  QueryId last_query_id() const { return queries_.size(); }
+
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  /// The query's slot in every per-query column, or kNoSlot for an id
+  /// that names no query: the one bounds check on ids from outside.
+  std::size_t SlotOf(QueryId id) const {
+    return id != 0 && id <= queries_.size() ? id - 1 : kNoSlot;
+  }
 
   int num_running() const { return static_cast<int>(running_.size()); }
   int num_queued() const { return static_cast<int>(admission_queue_.size()); }
@@ -261,7 +272,11 @@ class Rdbms {
   /// quiet, 0 for a stalled quantum).
   double ApplyStepFaults();
   QueryInfo MakeInfo(const Record& record) const;
-  Record* Find(QueryId id);
+  /// The query's record; nullptr when SlotOf(id) is kNoSlot.
+  Record* Find(QueryId id) const;
+  /// MakeInfo of each query in `ids` that is in `state`.
+  template <typename Ids>
+  std::vector<QueryInfo> InfosInState(const Ids& ids, QueryState state) const;
 
   const storage::Catalog* catalog_;
   RdbmsOptions options_;
@@ -277,10 +292,10 @@ class Rdbms {
   /// overshot the pool; repaid from the next quantum's capacity.
   WorkUnits system_carry_ = 0.0;
 
-  QueryId next_id_ = 1;
   std::uint64_t load_epoch_ = 0;
   std::uint64_t structural_epoch_ = 0;
-  std::unordered_map<QueryId, std::unique_ptr<Record>> queries_;
+  /// Indexed by slot; a retired query could leave a null tombstone.
+  std::vector<std::unique_ptr<Record>> queries_;
   std::vector<QueryId> running_;           // running + blocked hold slots
   std::deque<QueryId> admission_queue_;
   void Emit(QueryEventKind kind, const Record& record);

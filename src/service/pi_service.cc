@@ -85,16 +85,15 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
             event.kind == sched::QueryEventKind::kFinished;
         metrics_.counter(finished ? "queries.finished" : "queries.aborted")
             ->Increment();
-        auto owner = query_owner_.find(event.info.id);
-        if (owner != query_owner_.end()) {
-          auto session = sessions_.find(owner->second);
-          if (session != sessions_.end()) {
-            session->second.live.erase(event.info.id);
-            if (finished) {
-              ++session->second.finished;
-            } else {
-              ++session->second.aborted;
-            }
+        const std::size_t slot = db_->SlotOf(event.info.id);
+        if (slot >= query_rows_.size()) break;  // not yet adopted
+        auto session = sessions_.find(query_rows_[slot].session_id);
+        if (session != sessions_.end()) {
+          session->second.live.erase(event.info.id);
+          if (finished) {
+            ++session->second.finished;
+          } else {
+            ++session->second.aborted;
           }
         }
         break;
@@ -134,6 +133,7 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
   uptime_quanta_gauge_ = metrics_.gauge("service.uptime_quanta");
   ticker_age_quanta_gauge_ =
       metrics_.gauge("service.ticker_last_step_age_quanta");
+  retained_queries_gauge_ = metrics_.gauge("service.retained_queries");
   step_wall_ms_ = metrics_.histogram("step.wall_ms");
   snapshot_age_ms_ = metrics_.histogram("snapshot.age_ms");
 
@@ -188,18 +188,27 @@ PiService::SessionState* PiService::FindSessionLocked(
 
 Status PiService::CheckOwnedLocked(std::uint64_t session_id,
                                    QueryId id) const {
-  auto it = query_owner_.find(id);
-  if (it == query_owner_.end()) {
+  const std::size_t slot = db_->SlotOf(id);
+  if (slot >= query_rows_.size()) {
     return Status::NotFound("query " + std::to_string(id) +
                             " unknown to the service");
   }
-  if (it->second != session_id) {
+  const std::uint64_t owner = query_rows_[slot].session_id;
+  if (owner != session_id) {
     return Status::FailedPrecondition(
         "query " + std::to_string(id) + " belongs to session " +
-        std::to_string(it->second) + ", not session " +
+        std::to_string(owner) + ", not session " +
         std::to_string(session_id));
   }
   return Status::OK();
+}
+
+void PiService::AdoptLocked(SessionState* session, QueryId id) {
+  MQPI_DCHECK(db_->SlotOf(id) == query_rows_.size());
+  session->live.insert(id);
+  ++session->submitted;
+  query_rows_.push_back({session->id, kUnknown, kUnknown});
+  metrics_.counter("service.submits")->Increment();
 }
 
 Result<QueryId> PiService::SessionSubmit(std::uint64_t session_id,
@@ -239,10 +248,7 @@ Result<QueryId> PiService::SessionSubmit(std::uint64_t session_id,
       return submitted.status();
     }
     id = *submitted;
-    session->live.insert(id);
-    ++session->submitted;
-    query_owner_[id] = session_id;
-    metrics_.counter("service.submits")->Increment();
+    AdoptLocked(session, id);
     recover::Event event;
     event.kind = recover::EventKind::kSubmit;
     event.session_id = session_id;
@@ -419,10 +425,7 @@ void PiService::SubmitDueArrivalsLocked() {
       metrics_.counter("service.submit_errors")->Increment();
       continue;
     }
-    session->live.insert(*submitted);
-    ++session->submitted;
-    query_owner_[*submitted] = arrival.session_id;
-    metrics_.counter("service.submits")->Increment();
+    AdoptLocked(session, *submitted);
   }
 }
 
@@ -454,6 +457,7 @@ void PiService::StepAndPublish(SimTime dt) {
       metrics_.gauge("queries.blocked")->Set(snapshot->num_blocked);
       metrics_.gauge("service.sim_time")->Set(snapshot->sim_time);
     }
+    retained_queries_gauge_->Set(static_cast<double>(query_rows_.size()));
     SyncPiCountersLocked();
   }
   if (delayed) {
@@ -553,14 +557,6 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
   snapshot->sim_time = db_->now();
   snapshot->measured_rate = pis_->multi()->estimated_rate();
 
-  std::unordered_map<QueryId, int> queue_position;
-  {
-    int position = 0;
-    for (const auto& info : db_->QueuedQueries()) {
-      queue_position.emplace(info.id, position++);
-    }
-  }
-
   // Running-query estimates come from ONE batch call when the PI's
   // incremental fast path is up: an O(n) flat-SoA sweep over all n
   // rows (batch_kernel.h) instead of n O(log n) treap probes. The
@@ -599,13 +595,13 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
     return *last_good;
   };
 
-  const auto infos = db_->AllQueries();  // sorted by id
+  const auto infos = db_->AllQueries();  // slot order, so id order
   snapshot->queries.reserve(infos.size());
   for (const auto& info : infos) {
+    QueryRow& row = query_rows_[db_->SlotOf(info.id)];
     QueryProgress query;
     query.id = info.id;
-    auto owner = query_owner_.find(info.id);
-    if (owner != query_owner_.end()) query.session_id = owner->second;
+    query.session_id = row.session_id;
     query.label = info.label;
     query.state = info.state;
     query.priority = info.priority;
@@ -633,18 +629,11 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
         query.eta_single = kInfiniteTime;
         query.eta_multi = kInfiniteTime;
         break;
-      case sched::QueryState::kQueued: {
-        auto position = queue_position.find(info.id);
-        if (position != queue_position.end()) {
-          query.queue_position = position->second;
-        }
-        [[fallthrough]];
-      }
+      case sched::QueryState::kQueued:
       case sched::QueryState::kRunning: {
-        LastGoodEta& good = last_good_eta_[info.id];
         query.eta_single =
             guard(&query, pis_->EstimateSingle(info.id).value_or(kUnknown),
-                  &good.single);
+                  &row.last_good_single);
         // Merge-join against the batch view: both this loop and
         // batch.ids ascend by id, and only running rows appear in the
         // batch, so queued rows simply never match the cursor.
@@ -658,11 +647,13 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
           multi_raw =
               pis_->multi()->EstimateRemainingTime(info).value_or(kUnknown);
         }
-        query.eta_multi = guard(&query, multi_raw, &good.multi);
+        query.eta_multi = guard(&query, multi_raw, &row.last_good_multi);
         break;
       }
     }
-    if (query.terminal()) last_good_eta_.erase(info.id);
+    if (query.terminal()) {
+      row.last_good_single = row.last_good_multi = kUnknown;
+    }
 
     switch (info.state) {
       case sched::QueryState::kRunning:
@@ -678,6 +669,13 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
         break;
     }
     snapshot->queries.push_back(std::move(query));
+  }
+
+  // Rows are in slot order, so one walk of the admission queue writes
+  // each queued query's wait-line position straight into its row.
+  int position = 0;
+  for (const auto& info : db_->QueuedQueries()) {
+    snapshot->queries[db_->SlotOf(info.id)].queue_position = position++;
   }
   return snapshot;
 }

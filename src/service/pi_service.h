@@ -24,6 +24,8 @@
 // Sessions (see service/session.h) are per-client handles with query
 // ownership and admission accounting; open them with OpenSession().
 // Sessions must be closed or destroyed before the service.
+// Per-query service state is a column of the Rdbms query table (see
+// sched/rdbms.h), its size the `service.retained_queries` gauge.
 //
 // Two driving modes:
 //   - ticker mode (`start_ticker` true, the default): a background
@@ -344,6 +346,9 @@ class PiService {
   SessionState* FindSessionLocked(std::uint64_t session_id);
   // Requires state_mu_. Ownership check for control operations.
   Status CheckOwnedLocked(std::uint64_t session_id, QueryId id) const;
+  // Requires state_mu_. Books a query `session` just submitted: its
+  // live set and count, and the query's row in `query_rows_`.
+  void AdoptLocked(SessionState* session, QueryId id);
 
   // Requires state_mu_. Submits every scheduled arrival due at `now`.
   void SubmitDueArrivalsLocked();
@@ -391,7 +396,6 @@ class PiService {
                       ScheduledLater>
       arrivals_;
   std::unordered_map<std::uint64_t, SessionState> sessions_;
-  std::unordered_map<QueryId, std::uint64_t> query_owner_;
   std::uint64_t next_session_id_ = 1;
   /// The attached journal (guarded by state_mu_; appends happen under
   /// it, in mutation order).
@@ -444,6 +448,7 @@ class PiService {
   Counter* degraded_estimates_;
   Gauge* uptime_quanta_gauge_;
   Gauge* ticker_age_quanta_gauge_;
+  Gauge* retained_queries_gauge_;
   Histogram* step_wall_ms_;
   Histogram* snapshot_age_ms_;
   // One MultiQueryPi running total mirrored into a registry counter,
@@ -457,14 +462,17 @@ class PiService {
   // Last per-fault-point fire totals already published (state_mu_).
   std::unordered_map<const void*, std::uint64_t> seen_fault_fires_;
 
-  // Last credible (finite, within-horizon) published ETA per live
-  // query — the carry value when an estimator degrades. Guarded by
-  // state_mu_; mutable because snapshot building is logically const.
-  struct LastGoodEta {
-    SimTime single = kUnknown;
-    SimTime multi = kUnknown;
+  // The service's column of the query table, appended by AdoptLocked:
+  // the owning session, and the last credible (finite, within-horizon)
+  // published ETAs — the carry value when an estimator degrades, reset
+  // once terminal. Guarded by state_mu_; mutable because snapshot
+  // building is logically const.
+  struct QueryRow {
+    std::uint64_t session_id = 0;
+    SimTime last_good_single = kUnknown;
+    SimTime last_good_multi = kUnknown;
   };
-  mutable std::unordered_map<QueryId, LastGoodEta> last_good_eta_;
+  mutable std::vector<QueryRow> query_rows_;
 
   fault::FaultInjector* const fault_;  // == options_.fault, cached
 

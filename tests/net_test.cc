@@ -1125,6 +1125,25 @@ TEST(FanoutDifferentialTest, SharedFramesMatchPerSubscriberReference) {
       add_tcp();
     }
   }
+  // A sweep that lands mid-publish-burst coalesces the burst into one
+  // frame, so how many frames the stalled subscriber holds by now
+  // depends on thread scheduling. Publish one sweep at a time, pumping
+  // the others, until its bounded queue overflows.
+  const auto shed_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!locals[0]->sub->shed() &&
+         std::chrono::steady_clock::now() < shed_deadline) {
+    const std::uint64_t sweeps = server.pool()->sweeps();
+    service.PublishNow();
+    record();
+    while (server.pool()->sweeps() == sweeps &&
+           std::chrono::steady_clock::now() < shed_deadline) {
+      std::this_thread::yield();
+    }
+    for (std::size_t i = 0; i < locals.size(); ++i) {
+      if (!locals[i]->stalled) pump(i);
+    }
+  }
   ASSERT_TRUE(service.Advance(0.1).ok());
   record();
   const SnapshotPtr final_snapshot = service.snapshot();
@@ -1258,6 +1277,22 @@ TEST_F(TcpServerTest, PingSubmitProgressCancelRoundTrip) {
   auto after = client_->Progress(*id);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->row.state, sched::QueryState::kAborted);
+}
+
+TEST_F(TcpServerTest, AbortAndProgressOutsideTheTableGetErrors) {
+  auto id = client_->SubmitSynthetic(500.0);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  service_->PublishNow();
+  for (const QueryId bad : {QueryId{0}, *id + 1, QueryId{1} << 47}) {
+    SCOPED_TRACE(bad);
+    EXPECT_TRUE(client_->Cancel(bad).IsNotFound());
+    EXPECT_TRUE(client_->Progress(bad).status().IsNotFound());
+    ASSERT_TRUE(client_->Ping().ok());  // the server keeps serving
+  }
+  auto progress = client_->Progress(*id);
+  ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+  EXPECT_EQ(progress->row.id, *id);
+  ASSERT_TRUE(client_->Cancel(*id).ok());
 }
 
 TEST_F(TcpServerTest, SqlSubmissionPlansServerSide) {

@@ -300,6 +300,35 @@ TEST(PiManagerTest, UntrackedQueryReportsUnknown) {
   EXPECT_EQ(pis.SpeedOf(77), 0.0);
 }
 
+TEST(PiManagerTest, QueriesSubmittedBeforeAttachReportUnknown) {
+  storage::Catalog catalog;
+  sched::Rdbms db(&catalog, CleanOptions());
+  auto early = db.Submit(QuerySpec::Synthetic(500.0));
+  ASSERT_TRUE(early.ok());
+  db.Step();
+  // The manager's column is still empty: `early`'s slot lies past it.
+  PiManager pis(&db);
+  EXPECT_EQ(*pis.EstimateSingle(*early), kUnknown);
+  EXPECT_EQ(pis.SpeedOf(*early), 0.0);
+
+  // A later submission grows the column past `early`'s empty slot.
+  auto late = db.Submit(QuerySpec::Synthetic(500.0));
+  ASSERT_TRUE(late.ok());
+  for (int i = 0; i < 60; ++i) {
+    db.Step();
+    pis.AfterStep();
+  }
+  EXPECT_EQ(*pis.EstimateSingle(*early), kUnknown);
+  EXPECT_EQ(pis.SpeedOf(*early), 0.0);
+  EXPECT_GT(pis.SpeedOf(*late), 0.0);
+  EXPECT_GT(*pis.EstimateSingle(*late), 0.0);
+  for (const QueryId id :
+       {QueryId{0}, db.last_query_id() + 1, QueryId{1} << 47}) {
+    EXPECT_EQ(*pis.EstimateSingle(id), kUnknown) << id;
+    EXPECT_EQ(pis.SpeedOf(id), 0.0) << id;
+  }
+}
+
 // The per-quantum algorithm PiManager replaced, kept as the reference:
 // one SingleQueryPi per submitted id, each fed Observe(db.info(id))
 // every quantum, finished and aborted queries included.

@@ -209,6 +209,31 @@ TEST_F(RdbmsTest, InfoForUnknownQuery) {
   EXPECT_TRUE(db.Block(999).IsNotFound());
 }
 
+TEST_F(RdbmsTest, IdsOutsideTheTableAreNotFound) {
+  Rdbms db(&catalog_, BaseOptions());
+  auto first = db.Submit(QuerySpec::Synthetic(10.0));
+  auto second = db.Submit(QuerySpec::Synthetic(10.0));
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(db.SlotOf(*first), 0u);
+  EXPECT_EQ(db.SlotOf(*second), 1u);
+  for (const QueryId id :
+       {QueryId{0}, db.last_query_id() + 1, QueryId{1} << 47}) {
+    SCOPED_TRACE(id);
+    EXPECT_EQ(db.SlotOf(id), Rdbms::kNoSlot);
+    EXPECT_TRUE(db.info(id).status().IsNotFound());
+    EXPECT_TRUE(db.Abort(id).IsNotFound());
+    EXPECT_TRUE(db.Block(id).IsNotFound());
+    EXPECT_TRUE(db.Resume(id).IsNotFound());
+    EXPECT_TRUE(db.SetPriority(id, Priority::kHigh).IsNotFound());
+    EXPECT_TRUE(db.FastForward(id, 1.0).IsNotFound());
+    EXPECT_TRUE(db.QueuePosition(id).status().IsNotFound());
+  }
+  // The table is untouched: both queries still run to completion.
+  db.RunUntilIdle();
+  EXPECT_EQ(db.info(*second)->state, QueryState::kFinished);
+  EXPECT_EQ(db.AllQueries().size(), 2u);
+}
+
 TEST_F(RdbmsTest, IdleSemantics) {
   Rdbms db(&catalog_, BaseOptions());
   EXPECT_TRUE(db.Idle());

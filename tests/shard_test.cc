@@ -645,7 +645,9 @@ TEST(ShardChaosTest, IndependentPerShardRegimesNeverPoisonTheMerge) {
       const QueryProgress& row = merged->queries[i];
       EXPECT_FALSE(std::isnan(row.fraction_done));
       EXPECT_FALSE(std::isnan(row.eta_multi));
-      if (i > 0) EXPECT_LT(merged->queries[i - 1].id, row.id);
+      if (i > 0) {
+        EXPECT_LT(merged->queries[i - 1].id, row.id);
+      }
     }
   }
   for (const auto& injector : injectors) {

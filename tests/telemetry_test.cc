@@ -326,6 +326,39 @@ TEST_F(TelemetryServerTest, MetricsEndpointServesPrometheusText) {
   session->Close();
 }
 
+// service.retained_queries is the size of the query table: finished
+// queries keep their slot, so the gauge counts them plus the live ones.
+TEST_F(TelemetryServerTest, RetainedQueriesGaugeCountsFinishedAndLive) {
+  constexpr int kFinished = 5;
+  constexpr int kLive = 3;
+  auto session = service_->OpenSession("retain");
+  for (int i = 0; i < kFinished; ++i) {
+    ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(10.0)).ok());
+  }
+  ASSERT_TRUE(service_->AdvanceUntilIdle().ok());
+  for (int i = 0; i < kLive; ++i) {
+    ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(1e6)).ok());
+  }
+  ASSERT_TRUE(service_->Advance(0.1).ok());
+  const service::SnapshotPtr snapshot = service_->snapshot();
+  EXPECT_EQ(snapshot->num_running, kLive);
+  EXPECT_EQ(std::count_if(snapshot->queries.begin(), snapshot->queries.end(),
+                          [](const service::QueryProgress& row) {
+                            return row.state ==
+                                   sched::QueryState::kFinished;
+                          }),
+            kFinished);
+
+  const std::string response =
+      HttpGet(server_->http_port(), "GET /metrics HTTP/1.1");
+  EXPECT_NE(response.find("# TYPE service_retained_queries gauge"),
+            std::string::npos);
+  const std::size_t at = response.find("\nservice_retained_queries ");
+  ASSERT_NE(at, std::string::npos) << response;
+  EXPECT_EQ(std::stod(response.substr(at + 26)), kFinished + kLive);
+  session->Close();
+}
+
 // /metrics separates frames encoded from frames delivered: subscribers
 // at the same stream position share one encode.
 TEST_F(TelemetryServerTest, MetricsCountFramesEncodedOncePerPosition) {

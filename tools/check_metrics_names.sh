@@ -77,10 +77,11 @@ for name in $required_counters; do
 done
 
 # Gauges the liveness contract shares between /healthz and the
-# watchdog.
+# watchdog, and the retained-history size of the query table.
 required_gauges="
 service.uptime_quanta
 service.ticker_last_step_age_quanta
+service.retained_queries
 coord.shards
 "
 for name in $required_gauges; do

@@ -249,7 +249,7 @@ Result<WorkUnits> IncrementalForecast::CostOf(QueryId id) const {
                             " not active");
   }
   const Node& n = nodes_[static_cast<std::size_t>(it->second)];
-  return std::max(0.0, (n.v - x_) * n.w);
+  return (n.v - x_) * n.w;
 }
 
 Result<double> IncrementalForecast::WeightOf(QueryId id) const {

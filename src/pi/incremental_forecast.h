@@ -88,7 +88,9 @@ class IncrementalForecast {
   /// Total weight W of the active set. O(1).
   double total_weight() const;
 
-  /// Current remaining cost (v - X) * w, clamped at 0. O(1).
+  /// Current remaining cost (v - X) * w, unclamped: negative once an
+  /// Advance has run past the entry's threshold, which is how a caller
+  /// detects (and re-anchors) a breach of the contract above. O(1).
   Result<WorkUnits> CostOf(QueryId id) const;
 
   Result<double> WeightOf(QueryId id) const;

@@ -149,7 +149,11 @@ void MultiQueryPi::SyncEngine(
   // Drift repair: operator-granularity overshoot, perturbed per-query
   // speeds, or multi-quantum steps make the proportional bump inexact;
   // re-anchor any query whose mirrored cost left the tolerance band.
-  // O(n) compares, O(log n) per repaired query.
+  // A negative mirror is always re-anchored: a query can stay running
+  // for quanta at refined cost 0 (a debtor served last), the bump
+  // carries it past its threshold, and a negative remainder would
+  // shorten every later query's prefix sum. O(n) compares, O(log n)
+  // per repaired query.
   for (const auto& info : running) {
     auto mirrored = engine_.CostOf(info.id);
     if (!mirrored.ok()) {
@@ -158,8 +162,8 @@ void MultiQueryPi::SyncEngine(
     }
     const WorkUnits authoritative = info.estimated_remaining_cost;
     const double scale = std::max(1.0, std::abs(authoritative));
-    if (std::abs(*mirrored - authoritative) >
-        kDriftRelTolerance * scale) {
+    if (*mirrored < 0.0 ||
+        std::abs(*mirrored - authoritative) > kDriftRelTolerance * scale) {
       const Status updated =
           engine_.Update(info.id, authoritative, info.weight);
       if (!updated.ok()) {

@@ -38,8 +38,9 @@ struct ScqConfig {
 struct ScqRunResult {
   /// Relative errors of the time-0 estimates, one entry per initial
   /// query. `multi` is the full queue-aware PI; `blind` ignores the
-  /// admission queue (closest to the paper's setup, which had no
-  /// admission limit and hence no queue to exploit).
+  /// admission queue (sim::QueueBlindEta over the same PI; closest to
+  /// the paper's setup, which had no admission limit and hence no queue
+  /// to exploit).
   std::vector<double> single_errors;
   std::vector<double> multi_errors;
   std::vector<double> blind_errors;
@@ -101,10 +102,7 @@ inline ScqRunResult RunScqOnce(WorkloadFixture* fixture,
                                   .avg_cost = avg_cost,
                                   .avg_weight = options.weights.WeightOf(
                                       Priority::kNormal)});
-  pi::MultiQueryPi multi(&db, {.consider_admission_queue = true},
-                         &future);
-  pi::MultiQueryPi blind(&db, {.consider_admission_queue = false},
-                         &future);
+  pi::MultiQueryPi multi(&db, {}, &future);
 
   // Warm a short window so speeds and the measured rate exist, then
   // record the "time 0" estimates. Single-query speed is measured over
@@ -125,7 +123,6 @@ inline ScqRunResult RunScqOnce(WorkloadFixture* fixture,
   for (int i = 0; i < warm_quanta; ++i) {
     runner.StepFor(options.quantum);
     multi.ObserveStep();
-    blind.ObserveStep();
   }
   const SimTime estimate_time = db.now();
   WorkUnits warm_end_total = 0.0;
@@ -152,9 +149,9 @@ inline ScqRunResult RunScqOnce(WorkloadFixture* fixture,
                                ? info.estimated_remaining_cost / speed
                                : kInfiniteTime);
     }
-    auto m = multi.EstimateRemainingTime(initial[i]);
+    auto m = multi.EstimateRemainingTime(info);
     multi_est.push_back(m.ok() ? *m : kInfiniteTime);
-    auto b = blind.EstimateRemainingTime(initial[i]);
+    auto b = sim::QueueBlindEta(db, multi, info);
     blind_est.push_back(b.ok() ? *b : kInfiniteTime);
   }
 

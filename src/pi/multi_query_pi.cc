@@ -295,11 +295,9 @@ const MultiQueryPi::BaseLoad& MultiQueryPi::SnapshotBaseLoad() const {
     base_.running.push_back(
         QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
   }
-  if (options_.consider_admission_queue) {
-    for (const auto& info : db_->QueuedQueries()) {
-      base_.queued.push_back(
-          QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
-    }
+  for (const auto& info : db_->QueuedQueries()) {
+    base_.queued.push_back(
+        QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
   }
   base_epoch_ = epoch;
   base_valid_ = true;
@@ -417,9 +415,7 @@ bool MultiQueryPi::FastPathReady() const {
   }
   // A non-empty admission queue means future admissions the closed
   // form does not model (the simulator replays them instead).
-  if (options_.consider_admission_queue && db_->num_queued() > 0) {
-    return false;
-  }
+  if (db_->num_queued() > 0) return false;
   // The simulator truncates at max_events / horizon; stay on its
   // exact regime so both paths agree bit-for-bit (modulo rounding).
   if (engine_.size() > options_.max_events) return false;
@@ -447,10 +443,6 @@ Result<SimTime> MultiQueryPi::EstimateRemainingTime(
     case sched::QueryState::kBlocked:
       return kInfiniteTime;  // no progress while blocked
     case sched::QueryState::kQueued:
-      if (!options_.consider_admission_queue) {
-        // Without queue awareness the PI cannot see this query at all.
-        return kInfiniteTime;
-      }
       break;
     case sched::QueryState::kRunning:
       if (FastPathReady()) {

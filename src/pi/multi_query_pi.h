@@ -8,6 +8,9 @@
 //       (Section 2.3), and
 //   (3) predicted future arrivals — a virtual query of average cost and
 //       priority every 1/lambda seconds (Section 2.4).
+// The PI always folds the queue in. Figure 5's queue-blind comparison
+// curve is a what-if over this PI that removes the queued queries
+// (sim::QueueBlindEta), not a mode of it.
 //
 // The PI consumes only legal observables from the Rdbms: per-query
 // refined remaining-cost estimates, priority weights, the admission
@@ -50,10 +53,6 @@ class FaultInjector;
 namespace mqpi::pi {
 
 struct MultiQueryPiOptions {
-  /// Fold the admission queue into the forecast (Section 2.3). Off
-  /// reproduces the "multi-query estimate without considering admission
-  /// queue" curve of Figure 5.
-  bool consider_admission_queue = true;
   /// EWMA weight for the measured aggregate rate.
   double rate_alpha = 0.2;
   /// Span of simulated seconds per aggregate-rate sample. Operator
@@ -113,8 +112,7 @@ class MultiQueryPi {
   /// batched path used by snapshot builds and trace sampling (no
   /// per-call Rdbms::info lookup). When the incremental fast path is
   /// available — engine synchronized with the Rdbms epochs, admission
-  /// queue empty (or ignored), no virtual arrival due before the
-  /// system quiesces, everything inside the horizon — a running
+  /// queue empty, no virtual arrival due before the system quiesces, everything inside the horizon — a running
   /// query's estimate is an O(log n) closed-form point query with no
   /// simulation at all; otherwise it falls back to the (cached)
   /// analytic simulator. The split is observable via
@@ -180,10 +178,6 @@ class MultiQueryPi {
   /// The measured aggregate rate C (falls back to the configured rate
   /// until a measurement exists).
   double estimated_rate() const;
-
-  FutureWorkloadModel* future_model() { return future_; }
-
-  const MultiQueryPiOptions& options() const { return options_; }
 
   /// Forecast-cache statistics: a hit is an estimate served from the
   /// memoized forecast, a miss is a full analytic simulation (the

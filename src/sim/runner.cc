@@ -4,17 +4,29 @@
 
 namespace mqpi::sim {
 
+Result<SimTime> QueueBlindEta(const sched::Rdbms& db,
+                              const pi::MultiQueryPi& multi,
+                              const sched::QueryInfo& info) {
+  switch (info.state) {
+    case sched::QueryState::kFinished:
+    case sched::QueryState::kAborted:
+      return 0.0;
+    case sched::QueryState::kQueued:
+    case sched::QueryState::kBlocked:
+      return kInfiniteTime;
+    case sched::QueryState::kRunning:
+      break;
+  }
+  pi::MultiQueryPi::WhatIf scenario;
+  for (const auto& queued : db.QueuedQueries()) {
+    scenario.aborted.push_back(queued.id);
+  }
+  return multi.EstimateWhatIf(scenario, info.id);
+}
+
 SimulationRunner::SimulationRunner(sched::Rdbms* db, pi::PiManager* pis,
                                    RecordingOptions recording)
-    : db_(db), pis_(pis), recording_(recording) {
-  if (pis_ != nullptr && recording_.record_queue_blind_variant) {
-    pi::MultiQueryPiOptions blind = pis_->multi()->options();
-    blind.consider_admission_queue = false;
-    multi_blind_ = std::make_unique<pi::MultiQueryPi>(
-        db, blind, pis_->multi()->future_model());
-    multi_blind_->AttachLifecycleEvents(db);
-  }
-}
+    : db_(db), pis_(pis), recording_(recording) {}
 
 void SimulationRunner::ScheduleArrival(SimTime time, engine::QuerySpec spec,
                                        Priority priority) {
@@ -68,9 +80,6 @@ const std::vector<EstimateSample>& SimulationRunner::Trace(QueryId id) const {
 
 void SimulationRunner::AfterStep() {
   pis_->AfterStep();
-  // The blind PI must observe every quantum, not only sampled ones: its
-  // rate window accumulates per-quantum consumption.
-  if (multi_blind_) multi_blind_->ObserveStep();
 
   const SimTime now = db_->now();
   if (now + kTimeEpsilon < next_sample_) return;
@@ -100,9 +109,9 @@ void SimulationRunner::AfterStep() {
     // forecast, so the whole sampling loop costs one simulation.
     auto m = pis_->multi()->EstimateRemainingTime(*info);
     sample.multi = m.ok() ? *m : kUnknown;
-    if (multi_blind_) {
-      auto mb = multi_blind_->EstimateRemainingTime(*info);
-      sample.multi_no_queue = mb.ok() ? *mb : kUnknown;
+    if (recording_.record_queue_blind_variant) {
+      auto blind = QueueBlindEta(*db_, *pis_->multi(), *info);
+      sample.multi_no_queue = blind.ok() ? *blind : kUnknown;
     }
     trace.push_back(sample);
   }

@@ -7,17 +7,19 @@
 // With a PiManager attached it also records estimate traces for the
 // queries passed to Track() — the instrumentation behind Figures 3-5
 // (estimated remaining time / observed speed as functions of time) —
-// optionally beside a queue-blind multi-query PI (Figure 5's middle
-// curve). Traces are experiment output; the serving PI keeps none.
+// optionally beside the queue-blind estimate (Figure 5's middle curve),
+// which QueueBlindEta derives from the manager's own multi-query PI.
+// Traces are experiment output; the serving PI keeps none. The runner
+// builds no estimator of its own and registers no Rdbms listener.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
 #include "engine/planner.h"
+#include "pi/multi_query_pi.h"
 #include "pi/pi_manager.h"
 #include "sched/rdbms.h"
 #include "workload/zipf_workload.h"
@@ -31,7 +33,8 @@ struct EstimateSample {
   /// Multi-query PI estimate (queue-aware if configured).
   SimTime multi = kUnknown;
   /// Multi-query estimate ignoring the admission queue (Figure 5's
-  /// middle curve); kUnknown unless the variant is enabled.
+  /// middle curve, QueueBlindEta); kUnknown unless the variant is
+  /// enabled.
   SimTime multi_no_queue = kUnknown;
   /// Smoothed observed execution speed of the query (U/s) — Figure 4.
   double speed = 0.0;
@@ -40,9 +43,19 @@ struct EstimateSample {
 struct RecordingOptions {
   /// Gap between recorded samples (simulated seconds).
   SimTime sample_interval = 1.0;
-  /// Also maintain a queue-blind multi-query PI for comparison.
+  /// Also sample the queue-blind estimate (QueueBlindEta).
   bool record_queue_blind_variant = false;
 };
+
+/// The multi-query estimate of a PI that cannot see the admission
+/// queue (Figure 5's "without considering admission queue" curve), as
+/// the §3 what-if of `multi` that aborts every queued query. Finished
+/// and aborted queries read 0; queued and blocked ones kInfiniteTime
+/// (such a PI never sees a queued query, and a blocked one makes no
+/// progress). `multi` must be a PI over `db`.
+Result<SimTime> QueueBlindEta(const sched::Rdbms& db,
+                              const pi::MultiQueryPi& multi,
+                              const sched::QueryInfo& info);
 
 struct PendingArrival {
   SimTime time = 0.0;
@@ -53,9 +66,7 @@ struct PendingArrival {
 class SimulationRunner {
  public:
   /// `db` required; `pis` optional (may be nullptr). Both must outlive
-  /// the runner, and the runner must outlive any stepping of `db` once
-  /// the queue-blind variant is on (it listens to `db`'s events).
-  /// `recording` applies only when `pis` is set.
+  /// the runner. `recording` applies only when `pis` is set.
   SimulationRunner(sched::Rdbms* db, pi::PiManager* pis = nullptr,
                    RecordingOptions recording = {});
 
@@ -106,11 +117,6 @@ class SimulationRunner {
   sched::Rdbms* db_;
   pi::PiManager* pis_;
   RecordingOptions recording_;
-  // Queue-blind comparison PI: the primary's options without the
-  // admission queue, sharing its future model. It stays un-faulted: a
-  // second PI drawing from the same fault-point streams would entangle
-  // both PIs' fire sequences with their evaluation interleaving.
-  std::unique_ptr<pi::MultiQueryPi> multi_blind_;
   std::map<QueryId, std::vector<EstimateSample>> traces_;
   SimTime next_sample_ = 0.0;
   std::vector<PendingArrival> schedule_;  // kept sorted by time

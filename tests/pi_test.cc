@@ -8,6 +8,7 @@
 #include "pi/multi_query_pi.h"
 #include "pi/pi_manager.h"
 #include "pi/single_query_pi.h"
+#include "pi/stage_profile.h"
 #include "sched/rdbms.h"
 #include "sim/runner.h"
 #include "storage/catalog.h"
@@ -166,17 +167,61 @@ TEST(MultiQueryPiTest, QueueAwareSeesQueuedQueries) {
   auto options = CleanOptions();
   options.max_concurrent = 1;
   sched::Rdbms db(&catalog, options);
-  MultiQueryPi aware(&db, {.consider_admission_queue = true});
-  MultiQueryPi blind(&db, {.consider_admission_queue = false});
+  MultiQueryPi aware(&db);
   auto a = db.Submit(QuerySpec::Synthetic(100.0));
   auto b = db.Submit(QuerySpec::Synthetic(100.0));
   ASSERT_TRUE(b.ok());
   // Aware: b runs after a -> 2 s. Blind: cannot see b at all.
   EXPECT_NEAR(*aware.EstimateRemainingTime(*b), 2.0, 1e-9);
-  EXPECT_EQ(*blind.EstimateRemainingTime(*b), kInfiniteTime);
+  EXPECT_EQ(*sim::QueueBlindEta(db, aware, *db.info(*b)), kInfiniteTime);
   // And a is unaffected by the queue in either view.
   EXPECT_NEAR(*aware.EstimateRemainingTime(*a), 1.0, 1e-9);
-  EXPECT_NEAR(*blind.EstimateRemainingTime(*a), 1.0, 1e-9);
+  EXPECT_NEAR(*sim::QueueBlindEta(db, aware, *db.info(*a)), 1.0, 1e-9);
+}
+
+TEST(MultiQueryPiTest, QueueBlindEtaIsTheClosedFormOverTheRunningSet) {
+  // a (100 U) and b (300 U) run at C = 100 U/s; c (100 U) waits behind
+  // the admission limit. §2.2 over {a, b} alone: a at 2 s, b at 4 s.
+  // The queue-aware PI admits c when a finishes, which pushes b to 5 s;
+  // the queue-blind estimate must not.
+  storage::Catalog catalog;
+  auto options = CleanOptions();
+  options.max_concurrent = 2;
+  sched::Rdbms db(&catalog, options);
+  auto a = db.Submit(QuerySpec::Synthetic(100.0));
+  auto b = db.Submit(QuerySpec::Synthetic(300.0));
+  auto c = db.Submit(QuerySpec::Synthetic(100.0));
+  ASSERT_TRUE(c.ok());
+  ASSERT_EQ(db.num_queued(), 1);
+  const double w = options.weights.WeightOf(Priority::kNormal);
+  auto closed = StageProfile::Compute({{*a, 100.0, w}, {*b, 300.0, w}},
+                                      options.processing_rate);
+  ASSERT_TRUE(closed.ok());
+  const SimTime closed_a = *closed->RemainingTimeOf(*a);
+  const SimTime closed_b = *closed->RemainingTimeOf(*b);
+  ASSERT_NEAR(closed_a, 2.0, 1e-9);
+  ASSERT_NEAR(closed_b, 4.0, 1e-9);
+
+  // No future model: the estimate is exactly the closed form.
+  {
+    MultiQueryPi multi(&db);
+    EXPECT_NEAR(*multi.EstimateRemainingTime(*b), 5.0, 1e-9);
+    EXPECT_NEAR(*sim::QueueBlindEta(db, multi, *db.info(*a)), closed_a,
+                1e-9);
+    EXPECT_NEAR(*sim::QueueBlindEta(db, multi, *db.info(*b)), closed_b,
+                1e-9);
+  }
+  // A virtual arrival (300 U every 3 s) is due before the running set
+  // quiesces at 4 s. It lands after a finishes, so a keeps its closed
+  // form; b has 100 U left at 3 s and shares C with the arrival: 5 s.
+  {
+    FutureWorkloadModel future(
+        {.lambda = 1.0 / 3.0, .avg_cost = 300.0, .avg_weight = w});
+    MultiQueryPi multi(&db, {}, &future);
+    EXPECT_NEAR(*sim::QueueBlindEta(db, multi, *db.info(*a)), closed_a,
+                1e-9);
+    EXPECT_NEAR(*sim::QueueBlindEta(db, multi, *db.info(*b)), 5.0, 1e-9);
+  }
 }
 
 TEST(MultiQueryPiTest, MeasuresEffectiveRate) {

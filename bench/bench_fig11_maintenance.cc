@@ -42,7 +42,7 @@ struct SteadyState {
   SimTime t_finish = 0.0;                 // no-interruption quiescent span
   SimTime rt = 0.0;
   // Listener state: must live as long as the Rdbms, which keeps the
-  // completion listener registered past WarmUp's return.
+  // kFinished event listener registered past WarmUp's return.
   std::vector<int> stream;
   std::size_t next_rank = 0;
   bool replacing = true;
@@ -72,7 +72,8 @@ std::unique_ptr<SteadyState> WarmUp(bench::WorkloadFixture* fixture,
   for (int i = 0; i < 60; ++i) {
     s->stream.push_back(fixture->workload->SampleRank(&rng));
   }
-  s->db->AddCompletionListener([s](const sched::QueryInfo&) {
+  s->db->AddEventListener([s](const sched::QueryEvent& event) {
+    if (event.kind != sched::QueryEventKind::kFinished) return;
     ++s->completions;
     if (!s->replacing || s->next_rank >= s->stream.size()) return;
     const int rank = s->stream[s->next_rank++];

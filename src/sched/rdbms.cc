@@ -230,9 +230,7 @@ Status Rdbms::FastForward(QueryId id, WorkUnits work) {
     record->state = QueryState::kFinished;
     record->finish_time = clock_.now();
     running_.erase(std::find(running_.begin(), running_.end(), record->id));
-    const QueryInfo info = MakeInfo(*record);
     Emit(QueryEventKind::kFinished, *record);
-    for (const auto& listener : completion_listeners_) listener(info);
     AdmitFromQueue();
   }
   return Status::OK();
@@ -379,9 +377,7 @@ void Rdbms::StepOnce(SimTime dt) {
       record->finish_time = clock_.now() + dt;
       running_.erase(
           std::find(running_.begin(), running_.end(), record->id));
-      const QueryInfo info = MakeInfo(*record);
       Emit(QueryEventKind::kFinished, *record);
-      for (const auto& listener : completion_listeners_) listener(info);
     }
   }
 
@@ -508,10 +504,6 @@ std::vector<QueryInfo> Rdbms::AllQueries() const {
   out.reserve(queries_.size());
   for (const auto& record : queries_) out.push_back(MakeInfo(*record));
   return out;
-}
-
-void Rdbms::AddCompletionListener(std::function<void(const QueryInfo&)> fn) {
-  completion_listeners_.push_back(std::move(fn));
 }
 
 void Rdbms::AddEventListener(std::function<void(const QueryEvent&)> fn) {

@@ -157,8 +157,8 @@ class Rdbms {
   /// Instantaneously advances a running query by `work` units without
   /// consuming simulated time. Experiment setup only — used to start a
   /// scenario with queries "at a random point of their execution"
-  /// (paper Sections 5.2.1 / 5.2.3). Fires completion listeners if the
-  /// query finishes during the fast-forward.
+  /// (paper Sections 5.2.1 / 5.2.3). Emits kFinished if the query
+  /// finishes during the fast-forward.
   Status FastForward(QueryId id, WorkUnits work);
 
   /// Closes/opens the admission queue (maintenance operation O1).
@@ -239,9 +239,6 @@ class Rdbms {
   /// perturbation model for the current multiprogramming level).
   double EffectiveRate() const;
 
-  /// Completion hook: fired when a query finishes (not on abort).
-  void AddCompletionListener(std::function<void(const QueryInfo&)> fn);
-
   /// Full lifecycle hook: fired for every QueryEvent (submission,
   /// start, block/resume, priority change, finish, abort).
   void AddEventListener(std::function<void(const QueryEvent&)> fn);
@@ -300,7 +297,6 @@ class Rdbms {
   std::deque<QueryId> admission_queue_;
   void Emit(QueryEventKind kind, const Record& record);
 
-  std::vector<std::function<void(const QueryInfo&)>> completion_listeners_;
   std::vector<std::function<void(const QueryEvent&)>> event_listeners_;
 };
 

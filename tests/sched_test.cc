@@ -192,8 +192,11 @@ TEST_F(RdbmsTest, FastForwardAdvancesWithoutTime) {
 TEST_F(RdbmsTest, CompletionListenersFire) {
   Rdbms db(&catalog_, BaseOptions());
   std::vector<QueryId> completed;
-  db.AddCompletionListener(
-      [&](const QueryInfo& info) { completed.push_back(info.id); });
+  db.AddEventListener([&](const QueryEvent& event) {
+    if (event.kind == QueryEventKind::kFinished) {
+      completed.push_back(event.info.id);
+    }
+  });
   auto a = db.Submit(QuerySpec::Synthetic(100.0));
   auto b = db.Submit(QuerySpec::Synthetic(200.0));
   db.RunUntilIdle();

@@ -544,22 +544,31 @@ TEST(IncrementalWhatIfTest, PointWhatIfMatchesFullForecast) {
                 1e-9 * std::max(1.0, std::fabs(*expected)))
         << what;
   };
-  expect_matches({.blocked = {ids[1]}}, ids[0], "single block");
-  expect_matches({.aborted = {ids[2], ids[4]}}, ids[0], "two aborts");
-  expect_matches({.blocked = {ids[1]}, .aborted = {ids[5]}}, ids[3],
-                 "mixed removal");
+  expect_matches({.blocked = {ids[1]}, .aborted = {}, .reweighted = {}},
+                 ids[0], "single block");
+  expect_matches(
+      {.blocked = {}, .aborted = {ids[2], ids[4]}, .reweighted = {}},
+      ids[0], "two aborts");
+  expect_matches(
+      {.blocked = {ids[1]}, .aborted = {ids[5]}, .reweighted = {}}, ids[3],
+      "mixed removal");
   // A duplicated victim across both lists is still one removal.
-  expect_matches({.blocked = {ids[1]}, .aborted = {ids[1]}}, ids[0],
-                 "duplicate victim");
+  expect_matches(
+      {.blocked = {ids[1]}, .aborted = {ids[1]}, .reweighted = {}}, ids[0],
+      "duplicate victim");
   // Ids absent from the load are ignored, like ForecastWhatIf.
-  expect_matches({.blocked = {ids[1], 9999}}, ids[0], "absent victim");
+  expect_matches(
+      {.blocked = {ids[1], 9999}, .aborted = {}, .reweighted = {}}, ids[0],
+      "absent victim");
   // Pure removals above were answered from the engine.
   EXPECT_GT(pi.incremental_fast_path(), fast_before);
   // Reweight scenarios fall back to the simulator — and still match.
-  expect_matches({.blocked = {ids[1]}, .reweighted = {{ids[2], 6.0}}},
-                 ids[0], "reweight fallback");
+  expect_matches(
+      {.blocked = {ids[1]}, .aborted = {}, .reweighted = {{ids[2], 6.0}}},
+      ids[0], "reweight fallback");
   // Removing the target itself is NotFound either way.
-  auto gone = pi.EstimateWhatIf({.aborted = {ids[0]}}, ids[0]);
+  auto gone = pi.EstimateWhatIf(
+      {.blocked = {}, .aborted = {ids[0]}, .reweighted = {}}, ids[0]);
   ASSERT_FALSE(gone.ok());
   EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
 }

@@ -8,9 +8,8 @@
 //       (Section 2.3), and
 //   (3) predicted future arrivals — a virtual query of average cost and
 //       priority every 1/lambda seconds (Section 2.4).
-// The PI always folds the queue in. Figure 5's queue-blind comparison
-// curve is a what-if over this PI that removes the queued queries
-// (sim::QueueBlindEta), not a mode of it.
+// Figure 5's queue-blind comparison curve is a what-if over this PI
+// that removes the queued queries (sim::QueueBlindEta).
 //
 // The PI consumes only legal observables from the Rdbms: per-query
 // refined remaining-cost estimates, priority weights, the admission
@@ -112,8 +111,8 @@ class MultiQueryPi {
   /// batched path used by snapshot builds and trace sampling (no
   /// per-call Rdbms::info lookup). When the incremental fast path is
   /// available — engine synchronized with the Rdbms epochs, admission
-  /// queue empty, no virtual arrival due before the system quiesces, everything inside the horizon — a running
-  /// query's estimate is an O(log n) closed-form point query with no
+  /// queue empty, no virtual arrival due before the system quiesces,
+  /// everything inside the horizon — a running query's estimate is an O(log n) closed-form point query with no
   /// simulation at all; otherwise it falls back to the (cached)
   /// analytic simulator. The split is observable via
   /// incremental_fast_path() / incremental_fallback().

@@ -9,8 +9,7 @@
 // (estimated remaining time / observed speed as functions of time) —
 // optionally beside the queue-blind estimate (Figure 5's middle curve),
 // which QueueBlindEta derives from the manager's own multi-query PI.
-// Traces are experiment output; the serving PI keeps none. The runner
-// builds no estimator of its own and registers no Rdbms listener.
+// Traces are experiment output; the serving PI keeps none.
 #pragma once
 
 #include <map>
@@ -30,7 +29,7 @@ struct EstimateSample {
   SimTime time = 0.0;
   /// Single-query PI estimate (t = c/s).
   SimTime single = kUnknown;
-  /// Multi-query PI estimate (queue-aware if configured).
+  /// Multi-query PI estimate (queue-aware).
   SimTime multi = kUnknown;
   /// Multi-query estimate ignoring the admission queue (Figure 5's
   /// middle curve, QueueBlindEta); kUnknown unless the variant is

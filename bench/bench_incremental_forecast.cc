@@ -5,8 +5,9 @@
 // quantum to a single O(n log n) simulation — but the epoch moves
 // every quantum, so a dashboard that asks even one question per
 // quantum still pays a full simulation each time. The incremental
-// virtual-time engine answers the same question in O(log n) from its
-// closed-form prefix aggregates with no simulation at all; this bench
+// virtual-time engine answers the same question with an O(log n) id
+// lookup into its flat finish-ordered table and one closed-form prefix
+// read, with no simulation at all; this bench
 // measures ns/estimate for both paths in the one-estimate-per-quantum
 // regime, cross-checks that they agree, and writes
 // BENCH_incremental_forecast.json in the working directory.
@@ -83,21 +84,25 @@ struct RunResult {
 
 // One estimate per quantum against a rotating target: the dashboard
 // pattern. Only the estimate call is timed — the scheduler step and
-// the PI's per-step observation are the same for both paths.
+// the PI's per-step observation are the same for both paths. The
+// first quantum admits every query, a structural change: the engine
+// rebuilds and its first read sorts the finish-ordered view (the
+// simulator path simulates, as on every quantum). That quantum runs
+// untimed, so the average is the steady state's.
 RunResult Run(Fixture* fx, int quanta) {
   RunResult result;
   result.estimates.reserve(static_cast<std::size_t>(quanta));
   double total_ns = 0.0;
-  for (int q = 0; q < quanta; ++q) {
+  for (int q = -1; q < quanta; ++q) {
     fx->db->Step(fx->options.quantum);
     fx->pi->ObserveStep();
     const QueryId target =
-        fx->ids[static_cast<std::size_t>(q) % fx->ids.size()];
+        fx->ids[static_cast<std::size_t>(q + 1) % fx->ids.size()];
     auto info = fx->db->info(target);
     if (!info.ok()) std::exit(1);
     const std::int64_t start = bench::NowNs();
     auto eta = fx->pi->EstimateRemainingTime(*info);
-    total_ns += static_cast<double>(bench::NowNs() - start);
+    if (q >= 0) total_ns += static_cast<double>(bench::NowNs() - start);
     if (!eta.ok()) {
       std::fprintf(stderr, "estimate failed: %s\n",
                    eta.status().ToString().c_str());

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <new>
-
-#include "common/logging.h"
-#include "obs/profiler.h"
+#include <cmath>
 
 #if defined(__aarch64__)
 #include <arm_neon.h>
@@ -45,9 +41,9 @@ void SweepNeon(const double* v, const double* prefix_w,
     r = vmulq_f64(vmaxq_f64(r, vzero), vinv);
     vst1q_f64(eta + i, r);
   }
-  for (; i < n; ++i) {
-    const double r = prefix_vw[i] - x * prefix_w[i] +
-                     (v[i] - x) * (total_w - prefix_w[i]);
+  for (; i < n; ++i) {  // the lanes' fused operations, one at a time
+    const double r = std::fma(v[i] - x, total_w - prefix_w[i],
+                              std::fma(-x, prefix_w[i], prefix_vw[i]));
     eta[i] = std::max(0.0, r) * inv_rate;
   }
 }
@@ -56,10 +52,10 @@ void SweepNeon(const double* v, const double* prefix_w,
 }  // namespace detail
 
 namespace {
-
 std::atomic<bool> g_force_scalar{false};
+}  // namespace
 
-detail::BatchSweepFn ResolveSweep() {
+detail::BatchSweepFn detail::ResolveSweep() {
   if (g_force_scalar.load(std::memory_order_relaxed)) {
     return &detail::SweepScalar;
   }
@@ -74,10 +70,8 @@ detail::BatchSweepFn ResolveSweep() {
   return &detail::SweepScalar;
 }
 
-}  // namespace
-
-const char* BatchEstimateKernel::ActiveIsaName() {
-  const detail::BatchSweepFn sweep = ResolveSweep();
+const char* ActiveIsaName() {
+  const detail::BatchSweepFn sweep = detail::ResolveSweep();
 #if defined(MQPI_HAVE_AVX2) && defined(__x86_64__)
   if (sweep == &detail::SweepAvx2) return "avx2";
 #endif
@@ -88,94 +82,8 @@ const char* BatchEstimateKernel::ActiveIsaName() {
   return "scalar";
 }
 
-void BatchEstimateKernel::ForceScalar(bool force) {
+void ForceScalar(bool force) {
   g_force_scalar.store(force, std::memory_order_relaxed);
-}
-
-void BatchEstimateKernel::Arena::Reset(std::size_t bytes) {
-  if (bytes > capacity_) {
-    // Grow-only with headroom: repopulation churn (a few queries in or
-    // out per epoch) must not reallocate every regeneration.
-    const std::size_t grown = std::max(bytes + bytes / 2, kAlign);
-    buf_.reset(static_cast<unsigned char*>(
-        ::operator new[](grown, std::align_val_t{kAlign})));
-    base_ = buf_.get();
-    capacity_ = grown;
-  }
-  used_ = 0;
-}
-
-void BatchEstimateKernel::Regenerate(const IncrementalForecast& engine) {
-  MQPI_PROF_SITE(prof, "pi.batch_regen");
-  const std::size_t n = engine.size();
-  // One carve plan for every column; Reset guarantees the whole plan
-  // fits before any pointer is handed out (Carve never grows).
-  const std::size_t doubles = 5 * n;           // v, pw, pvw, eta_v, eta_id
-  const std::size_t ids = 2 * n;               // ids_v, ids_by_id
-  const std::size_t bytes = doubles * sizeof(double) +
-                            ids * sizeof(QueryId) +
-                            n * sizeof(std::uint32_t) + 8 * 64;
-  arena_.Reset(bytes);
-  v_ = arena_.Carve<double>(n);
-  prefix_w_ = arena_.Carve<double>(n);
-  prefix_vw_ = arena_.Carve<double>(n);
-  etas_v_ = arena_.Carve<double>(n);
-  etas_by_id_ = arena_.Carve<double>(n);
-  ids_v_ = arena_.Carve<QueryId>(n);
-  ids_by_id_ = arena_.Carve<QueryId>(n);
-  perm_ = arena_.Carve<std::uint32_t>(n);
-  n_ = n;
-
-  // In-order export: finish order, absolute thresholds. Weights land
-  // in prefix_w_ and are folded into running sums in place.
-  engine.ExportSorted(ids_v_, v_, prefix_w_);
-  double sum_w = 0.0;
-  double sum_vw = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = prefix_w_[i];
-    sum_w += w;
-    sum_vw += v_[i] * w;
-    prefix_w_[i] = sum_w;
-    prefix_vw_[i] = sum_vw;
-  }
-  total_w_ = sum_w;
-
-  // Id-order view: ids never change between regenerations, so the
-  // permutation is computed here once and each sweep only gathers.
-  for (std::size_t i = 0; i < n; ++i) {
-    perm_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(perm_, perm_ + n, [this](std::uint32_t a, std::uint32_t b) {
-    return ids_v_[a] < ids_v_[b];
-  });
-  for (std::size_t k = 0; k < n; ++k) {
-    ids_by_id_[k] = ids_v_[perm_[k]];
-  }
-
-  mirror_version_ = engine.structure_version();
-  mirror_valid_ = true;
-  ++regens_;
-}
-
-BatchEstimateKernel::Batch BatchEstimateKernel::EstimateAll(
-    const IncrementalForecast& engine, double rate) {
-  MQPI_PROF_SITE(prof, "pi.batch_estimate");
-  if (!MQPI_DCHECK(rate > 0.0)) return Batch{};
-  if (!mirror_valid_ || mirror_version_ != engine.structure_version()) {
-    Regenerate(engine);
-  } else {
-    ++hits_;
-  }
-  const std::size_t n = n_;
-  if (n == 0) return Batch{ids_by_id_, etas_by_id_, 0};
-
-  const double x = engine.offset();
-  const detail::BatchSweepFn sweep = ResolveSweep();
-  sweep(v_, prefix_w_, prefix_vw_, n, x, total_w_, 1.0 / rate, etas_v_);
-  for (std::size_t k = 0; k < n; ++k) {
-    etas_by_id_[k] = etas_v_[perm_[k]];
-  }
-  return Batch{ids_by_id_, etas_by_id_, n};
 }
 
 }  // namespace mqpi::pi

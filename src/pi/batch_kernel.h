@@ -1,62 +1,34 @@
-// BatchEstimateKernel: the estimate-all hot path on a flat
-// structure-of-arrays mirror of the incremental engine.
+// The estimate-all sweep: the paper's Section 2.2 stage formula as one
+// elementwise pass over IncrementalForecast's finish-ordered view.
 //
-// The treap (incremental_forecast.h) wins the asymptotics: one
-// RemainingTime probe is an O(log n) closed-form prefix query. But a
-// snapshot wants all n running estimates every quantum, and n pointer-
-// chasing tree walks lose the constants — cache misses, branches, and
-// per-query call overhead dominate. This kernel wins them back with a
-// flat mirror in predicted finish order (ascending (v, id), exactly
-// the treap's key order):
+// With the active set in ascending (v, id) order and
 //
 //   v[i]          absolute finish threshold X0 + c/w
 //   prefix_w[i]   sum of w[j], j <= i
 //   prefix_vw[i]  sum of v[j]*w[j], j <= i
 //
-// against which the paper's Section 2.2 stage formula collapses to a
-// pure elementwise sweep — for every i in one O(n) pass:
+// every remaining time is
 //
 //   eta[i] = max(0, prefix_vw[i] - X*prefix_w[i]
 //                   + (v[i] - X) * (W - prefix_w[i])) / C
 //
 // with no data dependence between lanes, so the sweep vectorizes
 // (AVX2 on x86-64, NEON on aarch64, portable scalar everywhere else;
-// the implementation is picked once at runtime from CPU features and
-// can be pinned to scalar for differential tests).
+// the implementation is picked at runtime from CPU features and can
+// be pinned to scalar for differential tests). Progress only moves the
+// scalar X, so a steady-state estimate-all is exactly one sweep over
+// three flat arrays: single-digit ns per query at n = 5000.
 //
-// Epoch discipline: the mirror is regenerated — one O(n) in-order
-// export from the treap plus one O(n) prefix pass and one O(n log n)
-// id-order sort — only when the engine's structure_version() moves
-// (insert/remove/update/renormalize). Pure progress never invalidates
-// it: Advance() only moves the global offset X, which enters the sweep
-// as a scalar read each call. In the steady state (progress-only
-// quanta) an estimate-all is therefore exactly one sweep over three
-// flat arrays: single-digit ns per query at n = 5000.
+// Each variant computes an element with the same operations whether it
+// lands in a vector lane or in the tail, so a one-element sweep (the
+// engine's point query) is bit-identical to that element's row in a
+// full sweep.
 //
-// Memory discipline: every array lives in one grow-only 64-byte-
-// aligned arena owned by the kernel. A regeneration carves the arena
-// afresh; a steady-state call allocates nothing at all, and no code
-// path allocates per query.
-//
-// Exactness contract: the sweep computes the same expression as
-// IncrementalForecast::RemainingTime over the same (v, w, X) state.
-// The flat prefix sums accumulate left-to-right while the treap
-// aggregates subtree-wise (and SIMD lanes may contract multiply-adds),
-// so answers agree to a few ULP, not bit-for-bit — the three-way
-// differential suite (simulator vs treap vs kernel) pins the
-// tolerance.
-//
-// Thread-safety: none; externally synchronized like the rest of the PI
-// stack (PiService serializes under its state lock). The ForceScalar
-// toggle is process-global and intended for tests/benches only.
+// Thread-safety: the sweeps are pure. The ForceScalar toggle is
+// process-global and intended for tests/benches only.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-
-#include "common/units.h"
-#include "pi/incremental_forecast.h"
 
 namespace mqpi::pi {
 
@@ -86,95 +58,18 @@ void SweepNeon(const double* v, const double* prefix_w,
                double total_w, double inv_rate, double* eta);
 #endif
 
+/// The sweep CPU-feature dispatch resolves to right now, honoring
+/// ForceScalar.
+BatchSweepFn ResolveSweep();
+
 }  // namespace detail
 
-class BatchEstimateKernel {
- public:
-  /// One estimate-all result. The arrays are views into the kernel's
-  /// arena, parallel and sorted by ascending query id (so a snapshot
-  /// builder walking ids in order merge-joins in O(n) with no hashing).
-  /// Valid until the next EstimateAll call or kernel destruction —
-  /// consume before releasing the external lock.
-  struct Batch {
-    const QueryId* ids = nullptr;
-    const SimTime* etas = nullptr;
-    std::size_t size = 0;
-  };
+/// The sweep implementation dispatch resolves to right now ("avx2",
+/// "neon", or "scalar"), honoring ForceScalar.
+const char* ActiveIsaName();
 
-  BatchEstimateKernel() = default;
-  BatchEstimateKernel(const BatchEstimateKernel&) = delete;
-  BatchEstimateKernel& operator=(const BatchEstimateKernel&) = delete;
-
-  /// Estimates the remaining time of every query in `engine` at
-  /// aggregate rate `rate` (> 0) in one pass. Regenerates the SoA
-  /// mirror first if the engine's structure_version() moved; otherwise
-  /// the call is pure sweep + gather with zero allocation.
-  Batch EstimateAll(const IncrementalForecast& engine, double rate);
-
-  /// Sweeps served from an already-current mirror, and mirror
-  /// regenerations. hits + regens == EstimateAll calls.
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t regens() const { return regens_; }
-
-  /// The sweep implementation runtime dispatch resolves to right now
-  /// ("avx2", "neon", or "scalar"), honoring ForceScalar.
-  static const char* ActiveIsaName();
-
-  /// Test/bench hook: true pins every kernel in the process to the
-  /// portable scalar sweep; false restores CPU-feature dispatch.
-  static void ForceScalar(bool force);
-
- private:
-  /// Grow-only 64-byte-aligned bump allocator: one buffer, carved into
-  /// the SoA columns at regeneration, reused forever after.
-  class Arena {
-   public:
-    /// Ensures capacity for `bytes` and resets the carve cursor.
-    /// Invalidates previously carved pointers.
-    void Reset(std::size_t bytes);
-    template <typename T>
-    T* Carve(std::size_t count) {
-      used_ = (used_ + kAlign - 1) & ~(kAlign - 1);
-      T* p = reinterpret_cast<T*>(base_ + used_);
-      used_ += count * sizeof(T);
-      return p;
-    }
-
-   private:
-    static constexpr std::size_t kAlign = 64;
-    struct Deleter {
-      void operator()(unsigned char* p) const {
-        ::operator delete[](p, std::align_val_t{kAlign});
-      }
-    };
-    std::unique_ptr<unsigned char[], Deleter> buf_;
-    unsigned char* base_ = nullptr;
-    std::size_t capacity_ = 0;
-    std::size_t used_ = 0;
-  };
-
-  void Regenerate(const IncrementalForecast& engine);
-
-  Arena arena_;
-  // SoA columns, all arena-carved, all length n_. The *_v arrays are
-  // in finish order (the treap's key order); ids_by_id_/etas_by_id_
-  // are the id-sorted output view, connected by perm_ (finish-order
-  // index of the k-th smallest id).
-  double* v_ = nullptr;
-  double* prefix_w_ = nullptr;
-  double* prefix_vw_ = nullptr;
-  double* etas_v_ = nullptr;
-  QueryId* ids_v_ = nullptr;
-  QueryId* ids_by_id_ = nullptr;
-  double* etas_by_id_ = nullptr;
-  std::uint32_t* perm_ = nullptr;
-  std::size_t n_ = 0;
-  double total_w_ = 0.0;
-
-  bool mirror_valid_ = false;
-  std::uint64_t mirror_version_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t regens_ = 0;
-};
+/// Test/bench hook: true pins every sweep in the process to the
+/// portable scalar variant; false restores CPU-feature dispatch.
+void ForceScalar(bool force);
 
 }  // namespace mqpi::pi

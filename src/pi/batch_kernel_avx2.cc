@@ -12,6 +12,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace mqpi::pi::detail {
 
@@ -33,9 +34,9 @@ void SweepAvx2(const double* v, const double* prefix_w,
     r = _mm256_mul_pd(_mm256_max_pd(r, vzero), vinv);
     _mm256_storeu_pd(eta + i, r);
   }
-  for (; i < n; ++i) {
-    const double r = prefix_vw[i] - x * prefix_w[i] +
-                     (v[i] - x) * (total_w - prefix_w[i]);
+  for (; i < n; ++i) {  // the lanes' fused operations, one at a time
+    const double r = std::fma(v[i] - x, total_w - prefix_w[i],
+                              std::fma(-x, prefix_w[i], prefix_vw[i]));
     eta[i] = std::max(0.0, r) * inv_rate;
   }
 }

@@ -1,9 +1,12 @@
 #include "pi/incremental_forecast.h"
 
 #include <algorithm>
+#include <utility>
 #include <string>
 
 #include "common/logging.h"
+#include "obs/profiler.h"
+#include "pi/batch_kernel.h"
 
 namespace mqpi::pi {
 
@@ -14,129 +17,7 @@ namespace {
 // deterministic in the operation history (reproducibility).
 constexpr double kRenormThreshold = 1e6;
 
-// splitmix64: deterministic, well-mixed treap priority per query id.
-std::uint64_t MixId(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-void IncrementalForecast::Clear() {
-  nodes_.clear();
-  free_.clear();
-  slot_.clear();
-  root_ = -1;
-  x_ = 0.0;
-  ++structure_version_;
-}
-
-void IncrementalForecast::Pull(int i) {
-  Node& n = nodes_[static_cast<std::size_t>(i)];
-  n.count = 1;
-  n.sum_w = n.w;
-  n.sum_vw = n.v * n.w;
-  if (n.left >= 0) {
-    const Node& l = nodes_[static_cast<std::size_t>(n.left)];
-    n.count += l.count;
-    n.sum_w += l.sum_w;
-    n.sum_vw += l.sum_vw;
-  }
-  if (n.right >= 0) {
-    const Node& r = nodes_[static_cast<std::size_t>(n.right)];
-    n.count += r.count;
-    n.sum_w += r.sum_w;
-    n.sum_vw += r.sum_vw;
-  }
-}
-
-int IncrementalForecast::Merge(int a, int b) {
-  if (a < 0) return b;
-  if (b < 0) return a;
-  if (nodes_[static_cast<std::size_t>(a)].pri >
-      nodes_[static_cast<std::size_t>(b)].pri) {
-    nodes_[static_cast<std::size_t>(a)].right =
-        Merge(nodes_[static_cast<std::size_t>(a)].right, b);
-    Pull(a);
-    return a;
-  }
-  nodes_[static_cast<std::size_t>(b)].left =
-      Merge(a, nodes_[static_cast<std::size_t>(b)].left);
-  Pull(b);
-  return b;
-}
-
-void IncrementalForecast::SplitLess(int root, double v, QueryId id,
-                                    int* left, int* right) {
-  if (root < 0) {
-    *left = -1;
-    *right = -1;
-    return;
-  }
-  Node& n = nodes_[static_cast<std::size_t>(root)];
-  if (KeyLess(n.v, n.id, v, id)) {
-    SplitLess(n.right, v, id, &n.right, right);
-    *left = root;
-  } else {
-    SplitLess(n.left, v, id, left, &n.left);
-    *right = root;
-  }
-  Pull(root);
-}
-
-void IncrementalForecast::SplitLeq(int root, double v, QueryId id,
-                                   int* left, int* right) {
-  if (root < 0) {
-    *left = -1;
-    *right = -1;
-    return;
-  }
-  Node& n = nodes_[static_cast<std::size_t>(root)];
-  if (!KeyLess(v, id, n.v, n.id)) {  // n <= key
-    SplitLeq(n.right, v, id, &n.right, right);
-    *left = root;
-  } else {
-    SplitLeq(n.left, v, id, left, &n.left);
-    *right = root;
-  }
-  Pull(root);
-}
-
-int IncrementalForecast::AllocNode(QueryId id, double v, double w) {
-  int i;
-  if (!free_.empty()) {
-    i = free_.back();
-    free_.pop_back();
-  } else {
-    i = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  Node& n = nodes_[static_cast<std::size_t>(i)];
-  n.v = v;
-  n.w = w;
-  n.id = id;
-  n.pri = MixId(id);
-  n.left = -1;
-  n.right = -1;
-  Pull(i);
-  return i;
-}
-
-void IncrementalForecast::FreeNode(int i) { free_.push_back(i); }
-
-void IncrementalForecast::InsertNodeAt(QueryId id, double v, double w) {
-  const int node = AllocNode(id, v, w);
-  slot_[id] = node;
-  int left = -1;
-  int right = -1;
-  SplitLess(root_, v, id, &left, &right);
-  root_ = Merge(Merge(left, node), right);
-}
-
-Status IncrementalForecast::Insert(QueryId id, WorkUnits cost,
-                                   double weight) {
+Status CheckLoad(QueryId id, WorkUnits cost, double weight) {
   if (weight <= 0.0) {
     return Status::InvalidArgument("query " + std::to_string(id) +
                                    " has non-positive weight");
@@ -145,144 +26,148 @@ Status IncrementalForecast::Insert(QueryId id, WorkUnits cost,
     return Status::InvalidArgument("query " + std::to_string(id) +
                                    " has negative remaining cost");
   }
-  if (slot_.count(id) != 0) {
-    return Status::InvalidArgument("query " + std::to_string(id) +
-                                   " already active");
-  }
-  InsertNodeAt(id, x_ + cost / weight, weight);
-  ++structure_version_;
   return Status::OK();
 }
 
-void IncrementalForecast::Detach(QueryId id, double* v, double* w) {
-  auto it = slot_.find(id);
-  const Node& n = nodes_[static_cast<std::size_t>(it->second)];
-  *v = n.v;
-  *w = n.w;
-  int left = -1;
-  int mid = -1;
-  int right = -1;
-  SplitLess(root_, *v, id, &left, &mid);
-  SplitLeq(mid, *v, id, &mid, &right);
-  // `mid` is exactly the node with key (v, id).
-  FreeNode(mid);
-  slot_.erase(it);
-  root_ = Merge(left, right);
+Status NotActive(const char* what, QueryId id) {
+  return Status::NotFound(std::string(what) + " " + std::to_string(id) +
+                          " not active");
+}
+
+}  // namespace
+
+std::size_t IncrementalForecast::Find(QueryId id) const {
+  if (ids_.empty() || id < ids_.front() || id > ids_.back()) return kAbsent;
+  // Distinct ascending ids put row k's id in [front + k, back - (n-1-k)],
+  // so only rows [lo, hi] can hold `id`: one row while ids are dense.
+  const std::size_t last = ids_.size() - 1;
+  const std::size_t hi = std::min<std::size_t>(id - ids_.front(), last);
+  const std::size_t lo = last - std::min<std::size_t>(ids_.back() - id, last);
+  const auto begin = ids_.begin() + static_cast<std::ptrdiff_t>(lo);
+  const auto end = ids_.begin() + static_cast<std::ptrdiff_t>(hi) + 1;
+  const auto it = std::lower_bound(begin, end, id);
+  if (it == end || *it != id) return kAbsent;
+  return static_cast<std::size_t>(it - ids_.begin());
+}
+
+void IncrementalForecast::Clear() {
+  ids_.clear();
+  v_.clear();
+  w_.clear();
+  x_ = 0.0;
+  dirty_ = true;
+  rows_moved_ = true;
+}
+
+Status IncrementalForecast::Insert(QueryId id, WorkUnits cost,
+                                   double weight) {
+  if (Status bad = CheckLoad(id, cost, weight); !bad.ok()) return bad;
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (it != ids_.end() && *it == id) {
+    return Status::InvalidArgument("query " + std::to_string(id) +
+                                   " already active");
+  }
+  const auto row = it - ids_.begin();
+  ids_.insert(it, id);
+  v_.insert(v_.begin() + row, x_ + cost / weight);
+  w_.insert(w_.begin() + row, weight);
+  dirty_ = true;
+  rows_moved_ = true;
+  return Status::OK();
 }
 
 Status IncrementalForecast::Remove(QueryId id) {
-  if (slot_.count(id) == 0) {
-    return Status::NotFound("query " + std::to_string(id) +
-                            " not active");
-  }
-  double v;
-  double w;
-  Detach(id, &v, &w);
-  if (slot_.empty()) x_ = 0.0;  // free exactness: rebase when drained
-  ++structure_version_;
+  const std::size_t row = Find(id);
+  if (row == kAbsent) return NotActive("query", id);
+  const auto offset = static_cast<std::ptrdiff_t>(row);
+  ids_.erase(ids_.begin() + offset);
+  v_.erase(v_.begin() + offset);
+  w_.erase(w_.begin() + offset);
+  if (ids_.empty()) x_ = 0.0;  // free exactness: rebase when drained
+  dirty_ = true;
+  rows_moved_ = true;
   return Status::OK();
 }
 
 Status IncrementalForecast::Update(QueryId id, WorkUnits cost,
                                    double weight) {
-  if (weight <= 0.0) {
-    return Status::InvalidArgument("query " + std::to_string(id) +
-                                   " has non-positive weight");
-  }
-  if (cost < 0.0) {
-    return Status::InvalidArgument("query " + std::to_string(id) +
-                                   " has negative remaining cost");
-  }
-  if (slot_.count(id) == 0) {
-    return Status::NotFound("query " + std::to_string(id) +
-                            " not active");
-  }
-  double v;
-  double w;
-  Detach(id, &v, &w);
-  InsertNodeAt(id, x_ + cost / weight, weight);
-  ++structure_version_;
+  if (Status bad = CheckLoad(id, cost, weight); !bad.ok()) return bad;
+  const std::size_t row = Find(id);
+  if (row == kAbsent) return NotActive("query", id);
+  v_[row] = x_ + cost / weight;
+  w_[row] = weight;
+  dirty_ = true;
   return Status::OK();
 }
 
 void IncrementalForecast::Advance(double delta_x) {
   if (!MQPI_DCHECK(delta_x >= 0.0)) return;
   x_ += delta_x;
-  if (x_ > kRenormThreshold && !slot_.empty()) Renormalize();
-  if (slot_.empty()) x_ = 0.0;
+  if (ids_.empty()) {
+    x_ = 0.0;
+  } else if (x_ > kRenormThreshold) {
+    // Rebasing can collapse distinct thresholds onto one double, which
+    // reshuffles (v, id) ties — so the view is rebuilt, not patched.
+    for (double& v : v_) v -= x_;
+    x_ = 0.0;
+    dirty_ = true;
+  }
 }
 
-void IncrementalForecast::Renormalize() {
-  // Rebasing can collapse distinct thresholds onto one double, which
-  // reshuffles (v, id) ties — so rebuild rather than patch in place.
-  struct Saved {
-    QueryId id;
-    double v;
-    double w;
-  };
-  std::vector<Saved> saved;
-  saved.reserve(slot_.size());
-  for (const auto& [id, index] : slot_) {
-    const Node& n = nodes_[static_cast<std::size_t>(index)];
-    saved.push_back(Saved{id, n.v - x_, n.w});
+void IncrementalForecast::EnsureView() const {
+  if (!dirty_) return;
+  MQPI_PROF_SITE(prof, "pi.batch_regen");
+  const std::size_t n = ids_.size();
+  if (rows_moved_) {
+    order_.resize(n);
+    for (std::size_t row = 0; row < n; ++row) {
+      order_[row].second = static_cast<std::uint32_t>(row);
+    }
+    rows_moved_ = false;
   }
-  nodes_.clear();
-  free_.clear();
-  slot_.clear();
-  root_ = -1;
-  x_ = 0.0;
-  for (const Saved& s : saved) InsertNodeAt(s.id, s.v, s.w);
-  // The threshold basis moved: flat mirrors of the absolute v's are
-  // stale even though the modelled load is unchanged.
-  ++structure_version_;
+  for (auto& [v, row] : order_) v = v_[row];
+  // Rows are in id order, so (v, row) pairs sort by the (v, id) finish
+  // order. Updates alone rarely reorder (a drift repair moves v by a
+  // rounding error), so the last order is checked in O(n) first.
+  if (!std::is_sorted(order_.begin(), order_.end())) {
+    std::sort(order_.begin(), order_.end());
+  }
+  rank_.resize(n);
+  sorted_v_.resize(n);
+  prefix_w_.resize(n);
+  prefix_vw_.resize(n);
+  sorted_etas_.resize(n);
+  etas_.resize(n);
+  double sum_w = 0.0;
+  double sum_vw = 0.0;
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const std::uint32_t row = order_[pos].second;
+    rank_[row] = static_cast<std::uint32_t>(pos);
+    sum_w += w_[row];
+    sum_vw += v_[row] * w_[row];
+    sorted_v_[pos] = v_[row];
+    prefix_w_[pos] = sum_w;
+    prefix_vw_[pos] = sum_vw;
+  }
+  dirty_ = false;
+  ++regens_;
 }
 
 double IncrementalForecast::total_weight() const {
-  return root_ < 0 ? 0.0
-                   : nodes_[static_cast<std::size_t>(root_)].sum_w;
+  EnsureView();
+  return prefix_w_.empty() ? 0.0 : prefix_w_.back();
 }
 
 Result<WorkUnits> IncrementalForecast::CostOf(QueryId id) const {
-  auto it = slot_.find(id);
-  if (it == slot_.end()) {
-    return Status::NotFound("query " + std::to_string(id) +
-                            " not active");
-  }
-  const Node& n = nodes_[static_cast<std::size_t>(it->second)];
-  return (n.v - x_) * n.w;
+  const std::size_t row = Find(id);
+  if (row == kAbsent) return NotActive("query", id);
+  return (v_[row] - x_) * w_[row];
 }
 
 Result<double> IncrementalForecast::WeightOf(QueryId id) const {
-  auto it = slot_.find(id);
-  if (it == slot_.end()) {
-    return Status::NotFound("query " + std::to_string(id) +
-                            " not active");
-  }
-  return nodes_[static_cast<std::size_t>(it->second)].w;
-}
-
-void IncrementalForecast::PrefixUpTo(double v, QueryId id, double* sum_w,
-                                     double* sum_vw) const {
-  double sw = 0.0;
-  double svw = 0.0;
-  int cur = root_;
-  while (cur >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    if (!KeyLess(v, id, n.v, n.id)) {  // n <= key: take left + node
-      if (n.left >= 0) {
-        const Node& l = nodes_[static_cast<std::size_t>(n.left)];
-        sw += l.sum_w;
-        svw += l.sum_vw;
-      }
-      sw += n.w;
-      svw += n.v * n.w;
-      cur = n.right;
-    } else {
-      cur = n.left;
-    }
-  }
-  *sum_w = sw;
-  *sum_vw = svw;
+  const std::size_t row = Find(id);
+  if (row == kAbsent) return NotActive("query", id);
+  return w_[row];
 }
 
 Result<SimTime> IncrementalForecast::RemainingTime(QueryId id,
@@ -290,28 +175,21 @@ Result<SimTime> IncrementalForecast::RemainingTime(QueryId id,
   if (rate <= 0.0) {
     return Status::InvalidArgument("aggregate rate must be positive");
   }
-  auto it = slot_.find(id);
-  if (it == slot_.end()) {
-    return Status::NotFound("query " + std::to_string(id) +
-                            " not active");
-  }
-  const Node& t = nodes_[static_cast<std::size_t>(it->second)];
-  double prefix_w = 0.0;
-  double prefix_vw = 0.0;
-  PrefixUpTo(t.v, t.id, &prefix_w, &prefix_vw);
-  const Node& all = nodes_[static_cast<std::size_t>(root_)];
-  const double g = t.v - x_;
-  // r = [ sum_{<=} (v_j - X) w_j + g * sum_{>} w_j ] / C
-  const double r =
-      (prefix_vw - x_ * prefix_w + g * (all.sum_w - prefix_w)) / rate;
-  return std::max(0.0, r);
+  const std::size_t row = Find(id);
+  if (row == kAbsent) return NotActive("query", id);
+  EnsureView();
+  const std::size_t pos = rank_[row];
+  SimTime eta;
+  detail::ResolveSweep()(&sorted_v_[pos], &prefix_w_[pos], &prefix_vw_[pos],
+                         1, x_, prefix_w_.back(), 1.0 / rate, &eta);
+  return eta;
 }
 
 SimTime IncrementalForecast::QuiescentTime(double rate) const {
-  if (root_ < 0) return 0.0;
+  if (ids_.empty()) return 0.0;
   if (rate <= 0.0) return kInfiniteTime;
-  const Node& all = nodes_[static_cast<std::size_t>(root_)];
-  return std::max(0.0, (all.sum_vw - x_ * all.sum_w) / rate);
+  EnsureView();
+  return std::max(0.0, (prefix_vw_.back() - x_ * prefix_w_.back()) / rate);
 }
 
 Result<SimTime> IncrementalForecast::RemovalBenefit(QueryId target,
@@ -323,68 +201,51 @@ Result<SimTime> IncrementalForecast::RemovalBenefit(QueryId target,
   if (target == victim) {
     return Status::InvalidArgument("target cannot be its own victim");
   }
-  auto t_it = slot_.find(target);
-  if (t_it == slot_.end()) {
-    return Status::NotFound("target " + std::to_string(target) +
-                            " not active");
-  }
-  auto v_it = slot_.find(victim);
-  if (v_it == slot_.end()) {
-    return Status::NotFound("victim " + std::to_string(victim) +
-                            " not active");
-  }
-  const Node& t = nodes_[static_cast<std::size_t>(t_it->second)];
-  const Node& m = nodes_[static_cast<std::size_t>(v_it->second)];
+  const std::size_t t = Find(target);
+  if (t == kAbsent) return NotActive("target", target);
+  const std::size_t m = Find(victim);
+  if (m == kAbsent) return NotActive("victim", victim);
   // Earlier-finishing victim shortens every stage up to its own finish
   // by its full cost; a later one shortens the target's stages by w_m
   // per unit of shared weight (the telescoped K = g_target / C). On a
   // threshold tie the two expressions coincide.
-  if (KeyLess(m.v, m.id, t.v, t.id)) {
-    return std::max(0.0, (m.v - x_) * m.w) / rate;
+  if (v_[m] < v_[t] || (v_[m] == v_[t] && m < t)) {
+    return std::max(0.0, (v_[m] - x_) * w_[m]) / rate;
   }
-  return std::max(0.0, (t.v - x_)) * m.w / rate;
-}
-
-void IncrementalForecast::ExportSorted(QueryId* ids, double* v,
-                                       double* w) const {
-  std::size_t out = 0;
-  std::vector<int> stack;
-  int cur = root_;
-  while (cur >= 0 || !stack.empty()) {
-    while (cur >= 0) {
-      stack.push_back(cur);
-      cur = nodes_[static_cast<std::size_t>(cur)].left;
-    }
-    cur = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    if (ids != nullptr) ids[out] = n.id;
-    if (v != nullptr) v[out] = n.v;
-    if (w != nullptr) w[out] = n.w;
-    ++out;
-    cur = n.right;
-  }
+  return std::max(0.0, (v_[t] - x_)) * w_[m] / rate;
 }
 
 std::vector<QueryLoad> IncrementalForecast::Entries() const {
+  EnsureView();
   std::vector<QueryLoad> out;
-  out.reserve(slot_.size());
-  // Iterative in-order walk: finish order, no recursion depth risk.
-  std::vector<int> stack;
-  int cur = root_;
-  while (cur >= 0 || !stack.empty()) {
-    while (cur >= 0) {
-      stack.push_back(cur);
-      cur = nodes_[static_cast<std::size_t>(cur)].left;
-    }
-    cur = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    out.push_back(
-        QueryLoad{n.id, std::max(0.0, (n.v - x_) * n.w), n.w});
-    cur = n.right;
+  out.reserve(order_.size());
+  for (std::size_t pos = 0; pos < order_.size(); ++pos) {
+    const std::uint32_t row = order_[pos].second;
+    out.push_back(QueryLoad{ids_[row],
+                            std::max(0.0, (sorted_v_[pos] - x_) * w_[row]),
+                            w_[row]});
   }
   return out;
+}
+
+IncrementalForecast::Batch IncrementalForecast::EstimateAll(
+    double rate) const {
+  MQPI_PROF_SITE(prof, "pi.batch_estimate");
+  if (!MQPI_DCHECK(rate > 0.0)) return Batch{};
+  if (dirty_) {
+    EnsureView();
+  } else {
+    ++hits_;
+  }
+  const std::size_t n = ids_.size();
+  if (n == 0) return Batch{ids_.data(), etas_.data(), 0};
+  detail::ResolveSweep()(sorted_v_.data(), prefix_w_.data(),
+                         prefix_vw_.data(), n, x_, prefix_w_.back(),
+                         1.0 / rate, sorted_etas_.data());
+  for (std::size_t row = 0; row < n; ++row) {
+    etas_[row] = sorted_etas_[rank_[row]];
+  }
+  return Batch{ids_.data(), etas_.data(), n};
 }
 
 }  // namespace mqpi::pi

@@ -1,5 +1,5 @@
 // IncrementalForecast: the paper's Section 2.2 stage decomposition
-// maintained incrementally under a global virtual-time offset.
+// kept as one flat table under a global virtual-time offset.
 //
 // Under weighted fair sharing every active query progresses equally per
 // unit weight, so define virtual time X with dX/dt = C / W. A query
@@ -7,10 +7,7 @@
 // when X reaches v = X0 + c/w, independent of how the active set (and
 // therefore W) changes afterwards. Normal execution progress is then a
 // single O(1) offset bump — every query's remaining ratio g_i = v_i - X
-// shrinks by the same delta, and the finish order never changes — while
-// lifecycle events (arrival, finish, abort, reweight, cost
-// re-estimate) are O(log n) insertions/removals in an order-statistic
-// treap ranked by (v, id) with subtree aggregates over w and v*w.
+// shrinks by the same delta, and the finish order never changes.
 //
 // Per-query remaining time needs no event replay: with queries ordered
 // by v, Abel-summing the stage formula t_i = (g_i - g_{i-1}) * W_i / C
@@ -18,12 +15,28 @@
 //
 //     r_i = (1/C) * [ sum_{v_j <= v_i} c_j  +  g_i * sum_{v_j > v_i} w_j ]
 //
-// with c_j = (v_j - X) * w_j, answered in O(log n) from the treap's
-// prefix aggregates. The system quiescent time (Section 3.3) is the
-// O(1) total (sum v_j*w_j - X * sum w_j) / C, and the benefit of
-// removing a victim on a target's remaining time (Section 3.1) is an
-// O(log n) point query that is *exactly* additive across victims —
-// removal never changes the survivors' thresholds v_j.
+// with c_j = (v_j - X) * w_j. The system quiescent time (Section 3.3)
+// is the total (sum v_j*w_j - X * sum w_j) / C, and the benefit of
+// removing a victim on a target's remaining time (Section 3.1) is a
+// point query that is *exactly* additive across victims — removal
+// never changes the survivors' thresholds v_j.
+//
+// Layout: id-ordered columns (id, v, w) hold the active set; a
+// finish-ordered view — v, prefix sums of w and v*w in ascending
+// (v, id) order, and each column row's rank in that order — answers
+// every read. Costs:
+//   * edits (Insert/Remove/Update) write the columns and mark the
+//     view dirty: O(log n) to find the row, plus a shift when the id
+//     is not the largest (an append in the usual ascending-id case);
+//   * progress (Advance) moves X only and leaves the view valid, O(1);
+//   * the first read after any run of edits rebuilds the view with one
+//     O(n log n) sort and one O(n) prefix pass — counted in regens();
+//   * reads on a current view: RemainingTime, CostOf, WeightOf and
+//     RemovalBenefit are O(log n) id lookups plus O(1) arithmetic,
+//     QuiescentTime is O(1), Entries and EstimateAll are O(n).
+// RemainingTime and EstimateAll run the same dispatched sweep
+// (batch_kernel.h) over the same view, so a point query and its batch
+// row are bit-identical.
 //
 // Exactness contract: the engine computes the same values as
 // StageProfile::Compute over the equivalent (cost, weight) set, up to
@@ -31,21 +44,19 @@
 // error a few ULP; the chaos differential suite pins the tolerance).
 // Callers must Remove a query before/when it finishes: Advance()ing X
 // past a live entry's threshold would let its negative remainder bleed
-// into other queries' prefix sums. The MultiQueryPi integration gets
-// this for free from the Rdbms event stream. When |X| exceeds an
-// internal threshold the engine renormalizes (rebases every v by -X,
-// O(n log n), deterministic) so cancellation in v - X stays bounded.
+// into other queries' prefix sums. When X exceeds an internal
+// threshold the engine renormalizes (subtracts X from every v, then
+// rebuilds the view with the same (v, id) tie-break) so cancellation
+// in v - X stays bounded.
 //
-// Determinism: treap priorities are a splitmix64 hash of the query id,
-// so two engines fed the same operation sequence are structurally
-// identical — no RNG state, reproducible across runs and processes.
-//
-// Thread-safety: none; externally synchronized like the rest of the PI
-// stack (PiService serializes under its state lock).
+// Thread-safety: none, reads included (they rebuild the view lazily);
+// externally synchronized like the rest of the PI stack (PiService
+// serializes under its state lock).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -56,129 +67,111 @@ namespace mqpi::pi {
 
 class IncrementalForecast {
  public:
+  /// One EstimateAll result: parallel arrays sorted by ascending id.
+  /// Valid until the next call on the engine — consume before
+  /// releasing the external lock.
+  struct Batch {
+    const QueryId* ids = nullptr;
+    const SimTime* etas = nullptr;
+    std::size_t size = 0;
+  };
+
   IncrementalForecast() = default;
 
   /// Removes every query and resets the virtual-time offset.
   void Clear();
 
   /// Adds a query with remaining cost `cost` (>= 0) and weight
-  /// `weight` (> 0) as of the current offset. O(log n).
-  /// InvalidArgument on bad values or a duplicate id.
+  /// `weight` (> 0) as of the current offset. InvalidArgument on bad
+  /// values or a duplicate id.
   Status Insert(QueryId id, WorkUnits cost, double weight);
 
-  /// Removes a query (finish, abort, block). O(log n). NotFound if
-  /// the id is not present.
+  /// Removes a query (finish, abort, block). NotFound if the id is not
+  /// present.
   Status Remove(QueryId id);
 
   /// Re-anchors a query's remaining cost and weight as of the current
   /// offset (priority change, cost re-estimate, drift repair).
-  /// O(log n).
   Status Update(QueryId id, WorkUnits cost, double weight);
 
   /// Advances virtual time by `delta_x` >= 0 — one quantum of
-  /// execution progress for the whole active set. O(1) (amortized:
-  /// a rare renormalization pass is O(n log n)). Must not advance
+  /// execution progress for the whole active set. O(1) and the view
+  /// stays valid, except for a rare renormalization. Must not advance
   /// past the smallest live threshold (remove finishers first).
   void Advance(double delta_x);
 
-  bool Contains(QueryId id) const { return slot_.count(id) != 0; }
-  std::size_t size() const { return slot_.size(); }
-  bool empty() const { return slot_.empty(); }
+  bool Contains(QueryId id) const { return Find(id) != kAbsent; }
+  std::size_t size() const { return ids_.size(); }
+  bool empty() const { return ids_.empty(); }
 
-  /// Total weight W of the active set. O(1).
+  /// Total weight W of the active set.
   double total_weight() const;
 
   /// Current remaining cost (v - X) * w, unclamped: negative once an
   /// Advance has run past the entry's threshold, which is how a caller
-  /// detects (and re-anchors) a breach of the contract above. O(1).
+  /// detects (and re-anchors) a breach of the contract above.
   Result<WorkUnits> CostOf(QueryId id) const;
 
   Result<double> WeightOf(QueryId id) const;
 
   /// Closed-form remaining execution time of `id` at aggregate rate
-  /// `rate`. O(log n).
+  /// `rate`: bit-identical to `id`'s EstimateAll row.
   Result<SimTime> RemainingTime(QueryId id, double rate) const;
 
-  /// When the last query finishes (0 if empty). O(1).
+  /// When the last query finishes (0 if empty).
   SimTime QuiescentTime(double rate) const;
 
   /// Shortening of `target`'s remaining time if `victim` were removed
   /// from the active set: c_victim / C when the victim finishes no
   /// later than the target, g_target * w_victim / C otherwise (paper
-  /// Section 3.1). Exactly additive across disjoint victims. O(1)
-  /// beyond the id lookups.
+  /// Section 3.1). Exactly additive across disjoint victims. Reads the
+  /// columns only, so it never rebuilds the view.
   Result<SimTime> RemovalBenefit(QueryId target, QueryId victim,
                                  double rate) const;
 
   /// The active set in predicted finish order (ascending v, ties by
-  /// id), with current clamped costs. O(n).
+  /// id), with current clamped costs.
   std::vector<QueryLoad> Entries() const;
 
-  /// Flat export of the active set in key order (ascending (v, id) —
-  /// the finish order), writing `size()` entries into caller-provided
-  /// arrays. `ids`/`v`/`w` may individually be null to skip that
-  /// column. O(n), no allocation. This is the batch kernel's
-  /// structure-of-arrays regeneration feed: `v` values are absolute
-  /// thresholds, valid against offset() until the next structure
-  /// version bump.
-  void ExportSorted(QueryId* ids, double* v, double* w) const;
+  /// Remaining time of every query at aggregate rate `rate` (> 0) in
+  /// one elementwise sweep over the view, gathered into id order.
+  Batch EstimateAll(double rate) const;
 
-  /// Monotonic structure version: bumped by every mutation that
-  /// changes membership, thresholds, weights, or the threshold basis
-  /// (Insert/Remove/Update/Clear and the internal renormalization).
-  /// Advance alone — pure progress — never bumps it, so a flat mirror
-  /// keyed on this version stays valid across progress-only quanta
-  /// and only the O(1) offset moves.
-  std::uint64_t structure_version() const { return structure_version_; }
+  /// EstimateAll calls that found the view current, and view rebuilds
+  /// (by any read). In the steady state hits grow once per snapshot
+  /// and regens not at all.
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t regens() const { return regens_; }
 
   /// The current virtual-time offset (diagnostics/tests).
   double offset() const { return x_; }
 
  private:
-  struct Node {
-    double v = 0.0;  // absolute finish threshold: X_insert + c/w
-    double w = 0.0;
-    QueryId id = kInvalidQueryId;
-    std::uint64_t pri = 0;  // deterministic heap priority
-    int left = -1;
-    int right = -1;
-    int count = 1;
-    double sum_w = 0.0;   // subtree sum of w
-    double sum_vw = 0.0;  // subtree sum of v * w
-  };
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
 
-  // (v, id) lexicographic key order == the paper's finish order with
-  // the same id tie-break StageProfile uses.
-  static bool KeyLess(double av, QueryId aid, double bv, QueryId bid) {
-    if (av != bv) return av < bv;
-    return aid < bid;
-  }
+  /// Column row of `id`, or kAbsent.
+  std::size_t Find(QueryId id) const;
+  /// Rebuilds the finish-ordered view if an edit made it stale.
+  void EnsureView() const;
 
-  void Pull(int i);
-  int Merge(int a, int b);
-  /// Splits by key: `left` gets keys < (v, id), `right` the rest.
-  void SplitLess(int root, double v, QueryId id, int* left, int* right);
-  /// Splits by key: `left` gets keys <= (v, id), `right` the rest.
-  void SplitLeq(int root, double v, QueryId id, int* left, int* right);
-  int AllocNode(QueryId id, double v, double w);
-  void FreeNode(int i);
-  /// Inserts a node with an explicit absolute threshold (renorm path).
-  void InsertNodeAt(QueryId id, double v, double w);
-  /// Detaches `id`'s node from the tree and frees it; returns its
-  /// (v, w). Caller guarantees presence.
-  void Detach(QueryId id, double* v, double* w);
-  /// Prefix aggregates over keys <= (v, id).
-  void PrefixUpTo(double v, QueryId id, double* sum_w,
-                  double* sum_vw) const;
-  /// Rebases every threshold by -X and resets X to 0.
-  void Renormalize();
-
-  std::vector<Node> nodes_;
-  std::vector<int> free_;
-  std::unordered_map<QueryId, int> slot_;
-  int root_ = -1;
+  // Id-ordered columns.
+  std::vector<QueryId> ids_;
+  std::vector<double> v_;  // absolute finish threshold: X_insert + c/w
+  std::vector<double> w_;
   double x_ = 0.0;
-  std::uint64_t structure_version_ = 0;
+
+  // Finish-ordered view. Mutable: reads rebuild it lazily.
+  mutable bool dirty_ = false;
+  mutable bool rows_moved_ = false;  // Insert/Remove shifted the rows
+  mutable std::vector<std::pair<double, std::uint32_t>> order_;  // (v, row)
+  mutable std::vector<std::uint32_t> rank_;   // row -> finish position
+  mutable std::vector<double> sorted_v_;
+  mutable std::vector<double> prefix_w_;
+  mutable std::vector<double> prefix_vw_;
+  mutable std::vector<double> sorted_etas_;  // EstimateAll scratch
+  mutable std::vector<double> etas_;         // EstimateAll, id order
+  mutable std::uint64_t hits_ = 0;
+  mutable std::uint64_t regens_ = 0;
 };
 
 }  // namespace mqpi::pi

@@ -18,7 +18,7 @@ namespace {
 // from the Rdbms's authoritative estimate by accumulated rounding of
 // the proportional-progress bumps; anything beyond a few hundred ULP
 // (operator-granularity overshoot, speed-multiplier perturbations,
-// multi-quantum steps) is re-anchored with an O(log n) Update so fast-
+// multi-quantum steps) is re-anchored with an Update so fast-
 // path estimates stay within float rounding of the simulator's.
 constexpr double kDriftRelTolerance = 1e-9;
 
@@ -152,8 +152,9 @@ void MultiQueryPi::SyncEngine(
   // A negative mirror is always re-anchored: a query can stay running
   // for quanta at refined cost 0 (a debtor served last), the bump
   // carries it past its threshold, and a negative remainder would
-  // shorten every later query's prefix sum. O(n) compares, O(log n)
-  // per repaired query.
+  // shorten every later query's prefix sum. One lookup per running
+  // query; any repair makes the quantum's first read rebuild the
+  // engine's view.
   for (const auto& info : running) {
     auto mirrored = engine_.CostOf(info.id);
     if (!mirrored.ok()) {
@@ -170,6 +171,7 @@ void MultiQueryPi::SyncEngine(
         engine_synced_ = false;
         return;
       }
+      ++drift_repairs_;
     }
   }
   engine_load_epoch_ = db_load;
@@ -470,15 +472,14 @@ Result<MultiQueryPi::BatchEstimates> MultiQueryPi::EstimateAllRunning()
     return Status::FailedPrecondition(
         "incremental fast path not ready; estimate per row");
   }
-  const BatchEstimateKernel::Batch batch =
-      kernel_.EstimateAll(engine_, estimated_rate());
+  const BatchEstimates batch = engine_.EstimateAll(estimated_rate());
   // Every row is an engine-served estimate, same as n fast-path point
   // queries would have been. No per-row SanitizeEta pass: the sweep
   // clamps at zero and its inputs are finite (the engine validates
   // cost/weight, estimated_rate() is floored), so sanitization would
   // be a no-op on every row.
   incremental_fast_path_ += batch.size;
-  return BatchEstimates{batch.ids, batch.etas, batch.size};
+  return batch;
 }
 
 Result<SimTime> MultiQueryPi::QuiescentEta() const {

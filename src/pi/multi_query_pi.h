@@ -27,6 +27,13 @@
 // its scenarios from the same cached base load snapshot. The cache is
 // exact, never heuristic: any load-relevant transition bumps the epoch
 // (see sched::Rdbms::load_epoch) and forces a fresh simulation.
+//
+// In the steady state (queue empty, no arrival due before the system
+// quiesces) estimates skip the simulator: the incremental engine
+// (incremental_forecast.h) mirrors the running set as one flat table,
+// a quantum's progress is one O(1) offset bump, and a point estimate
+// and a snapshot's estimate-all read the same finish-ordered view, so
+// both give the same bits for the same query.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +43,6 @@
 #include "common/stats.h"
 #include "common/units.h"
 #include "pi/analytic_simulator.h"
-#include "pi/batch_kernel.h"
 #include "pi/future_model.h"
 #include "pi/incremental_forecast.h"
 #include "sched/rdbms.h"
@@ -63,7 +69,7 @@ struct MultiQueryPiOptions {
   /// cached and uncached estimates are identical by construction.
   bool enable_forecast_cache = true;
   /// Serve steady-state estimates from the incremental virtual-time
-  /// engine (O(log n) per estimate, no event replay) whenever the
+  /// engine (a closed-form point query, no event replay) whenever the
   /// fast-path preconditions hold — see EstimateRemainingTime. The
   /// fallback is the analytic simulator above; both paths agree within
   /// float rounding (chaos-verified). Disable only to pin the
@@ -84,7 +90,7 @@ class MultiQueryPi {
 
   /// Subscribes the PI to `db`'s lifecycle event stream (must be the
   /// same Rdbms the PI was constructed over) so the incremental engine
-  /// absorbs arrivals/finishes/aborts/reweights as O(log n) deltas
+  /// absorbs arrivals/finishes/aborts/reweights as column edits
   /// instead of resynchronizing each quantum. Optional: without it the
   /// engine still resyncs from ObserveStep whenever the structural
   /// epoch moves. The PI must outlive any stepping of `db` once
@@ -112,10 +118,11 @@ class MultiQueryPi {
   /// per-call Rdbms::info lookup). When the incremental fast path is
   /// available — engine synchronized with the Rdbms epochs, admission
   /// queue empty, no virtual arrival due before the system quiesces,
-  /// everything inside the horizon — a running query's estimate is an O(log n) closed-form point query with no
-  /// simulation at all; otherwise it falls back to the (cached)
-  /// analytic simulator. The split is observable via
-  /// incremental_fast_path() / incremental_fallback().
+  /// everything inside the horizon — a running query's estimate is an
+  /// O(log n) closed-form point query with no simulation at all,
+  /// bit-identical to its EstimateAllRunning row; otherwise it falls
+  /// back to the (cached) analytic simulator. The split is observable
+  /// via incremental_fast_path() / incremental_fallback().
   Result<SimTime> EstimateRemainingTime(const sched::QueryInfo& info) const;
 
   /// Estimated time until the system quiesces (last tracked query
@@ -123,20 +130,17 @@ class MultiQueryPi {
   Result<SimTime> QuiescentEta() const;
 
   /// Batch estimate: the remaining time of EVERY running query in one
-  /// O(n) flat-SoA sweep (batch_kernel.h) instead of n O(log n) treap
-  /// probes — the snapshot builder's per-quantum hot path. Available
-  /// only when the incremental fast path is up (same preconditions as
-  /// EstimateRemainingTime's engine route; FailedPrecondition
-  /// otherwise, and the caller falls back to per-row estimates). The
-  /// returned views are sorted by ascending id and remain valid until
-  /// the next PI call — consume them under the same external lock.
+  /// O(n) sweep over the engine's view (batch_kernel.h) instead of n
+  /// point queries — the snapshot builder's per-quantum hot path.
+  /// Available only when the incremental fast path is up (same
+  /// preconditions as EstimateRemainingTime's engine route;
+  /// FailedPrecondition otherwise, and the caller falls back to
+  /// per-row estimates). The returned views are sorted by ascending id
+  /// and remain valid until the next PI call — consume them under the
+  /// same external lock.
   /// Counted per call in batch_kernel_hits()/batch_kernel_regens()
   /// and per row in incremental_fast_path().
-  struct BatchEstimates {
-    const QueryId* ids = nullptr;
-    const SimTime* etas = nullptr;
-    std::size_t size = 0;
-  };
+  using BatchEstimates = IncrementalForecast::Batch;
   Result<BatchEstimates> EstimateAllRunning() const;
 
   /// Full forecast for all running + queued queries.
@@ -186,7 +190,7 @@ class MultiQueryPi {
   std::uint64_t forecast_cache_misses() const { return cache_misses_; }
   std::uint64_t whatif_forecasts() const { return whatif_forecasts_; }
 
-  /// Incremental-engine statistics: estimates served by the O(log n)
+  /// Incremental-engine statistics: estimates served by the engine's
   /// closed form,
   std::uint64_t incremental_fast_path() const {
     return incremental_fast_path_;
@@ -201,12 +205,16 @@ class MultiQueryPi {
     return incremental_resyncs_;
   }
 
-  /// Batch-kernel statistics: estimate-all sweeps served from a
-  /// current SoA mirror (progress-only quanta),
-  std::uint64_t batch_kernel_hits() const { return kernel_.hits(); }
-  /// and mirror regenerations (structural epochs). In the steady
-  /// state hits grow once per snapshot and regens not at all.
-  std::uint64_t batch_kernel_regens() const { return kernel_.regens(); }
+  /// Engine-view statistics: estimate-all sweeps that found the
+  /// finish-ordered view current (progress-only quanta),
+  std::uint64_t batch_kernel_hits() const { return engine_.hits(); }
+  /// and view rebuilds (the first read after engine edits). In the
+  /// steady state hits grow once per snapshot and regens not at all.
+  std::uint64_t batch_kernel_regens() const { return engine_.regens(); }
+  /// Drift repairs: running queries whose engine cost left the
+  /// tolerance band at a quantum and were re-anchored (each one makes
+  /// the quantum's first read rebuild the view).
+  std::uint64_t drift_repairs() const { return drift_repairs_; }
 
   /// Attaches a chaos harness (nullptr detaches; not owned). Armed
   /// `pi.*` points fire inside ObserveStep: forced cache invalidation
@@ -313,16 +321,13 @@ class MultiQueryPi {
   // the next ObserveStep's rebuild). Mutable: estimates are logically
   // const reads; same external-synchronization contract as the cache.
   mutable IncrementalForecast engine_;
-  // Flat SoA mirror of engine_ for estimate-all sweeps; keyed on the
-  // engine's structure_version, regenerated lazily inside
-  // EstimateAllRunning. Same synchronization contract as the engine.
-  mutable BatchEstimateKernel kernel_;
   bool engine_synced_ = false;
   std::uint64_t engine_structural_epoch_ = 0;
   std::uint64_t engine_load_epoch_ = 0;
   mutable std::uint64_t incremental_fast_path_ = 0;
   mutable std::uint64_t incremental_fallback_ = 0;
   mutable std::uint64_t incremental_resyncs_ = 0;
+  std::uint64_t drift_repairs_ = 0;
 };
 
 }  // namespace mqpi::pi

@@ -124,6 +124,7 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
       {metrics_.counter("pi.incremental_resyncs"), &Pi::incremental_resyncs},
       {metrics_.counter("pi.batch_kernel_hits"), &Pi::batch_kernel_hits},
       {metrics_.counter("pi.batch_kernel_regens"), &Pi::batch_kernel_regens},
+      {metrics_.counter("pi.drift_repairs"), &Pi::drift_repairs},
       {metrics_.counter("pi.rate_floor_hits"), &Pi::rate_floor_hits},
       {metrics_.counter("pi.corrupt_rate_samples"),
        &Pi::corrupt_rate_samples},
@@ -558,10 +559,11 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
   snapshot->measured_rate = pis_->multi()->estimated_rate();
 
   // Running-query estimates come from ONE batch call when the PI's
-  // incremental fast path is up: an O(n) flat-SoA sweep over all n
-  // rows (batch_kernel.h) instead of n O(log n) treap probes. The
-  // batch views are id-sorted, so the info loop below — also ascending
-  // by id — consumes them as an O(n) merge-join with no hashing. When
+  // incremental fast path is up: an O(n) sweep over all n rows of the
+  // engine's finish-ordered view (batch_kernel.h) instead of n point
+  // queries. The batch views are id-sorted, so the info loop below —
+  // also ascending by id — consumes them as an O(n) merge-join with no
+  // hashing. When
   // the fast path is down the per-row calls fall back to the cached
   // analytic forecast, so a snapshot still costs at most one
   // simulation per epoch either way.

@@ -2,7 +2,8 @@
 //
 // The engine's exactness contract (incremental_forecast.h): every
 // query answer must equal a from-scratch StageProfile::Compute over
-// the equivalent (cost, weight) set up to float rounding. The suite
+// the equivalent (cost, weight) set up to float rounding, and every
+// EstimateAll row must equal its point query bit for bit. The suite
 // pins that contract at three levels —
 //  * engine unit: static sets and O(1) Advance vs recomputed profiles,
 //  * engine soak: a random interleaving of insert / remove / update /
@@ -61,10 +62,17 @@ void ExpectMatchesProfile(const IncrementalForecast& engine,
   ASSERT_EQ(engine.size(), loads.size());
   auto profile = StageProfile::Compute(loads, rate);
   ASSERT_TRUE(profile.ok());
-  for (const QueryLoad& q : loads) {
+  // `loads` is id-ordered, like the batch rows.
+  const IncrementalForecast::Batch batch = engine.EstimateAll(rate);
+  const std::vector<SimTime> rows(batch.etas, batch.etas + batch.size);
+  ASSERT_EQ(rows.size(), loads.size());
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const QueryLoad& q = loads[i];
+    ASSERT_EQ(batch.ids[i], q.id);
     auto r = engine.RemainingTime(q.id, rate);
     ASSERT_TRUE(r.ok()) << "id " << q.id;
     ExpectClose(*profile->RemainingTimeOf(q.id), *r, "remaining time");
+    EXPECT_EQ(rows[i], *r) << "batch row vs point query, id " << q.id;
     auto c = engine.CostOf(q.id);
     ASSERT_TRUE(c.ok());
     ExpectClose(q.remaining_cost, *c, "cost");

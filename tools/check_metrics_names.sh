@@ -59,6 +59,7 @@ pi.incremental_fallback
 pi.incremental_resyncs
 pi.batch_kernel_hits
 pi.batch_kernel_regens
+pi.drift_repairs
 recover.journal_records
 recover.journal_write_fails
 recover.checkpoints_written

@@ -26,13 +26,17 @@
 // (v, id) order, and each column row's rank in that order — answers
 // every read. Costs:
 //   * edits (Insert/Remove/Update) write the columns and mark the
-//     view dirty: O(log n) to find the row, plus a shift when the id
-//     is not the largest (an append in the usual ascending-id case);
+//     view dirty. Finding a row is a binary search over the rows its
+//     id range allows (one row while ids are dense); Remove, and an
+//     Insert below the largest id, shift the later rows (an Insert is
+//     an append in the usual ascending-id case);
 //   * progress (Advance) moves X only and leaves the view valid, O(1);
-//   * the first read after any run of edits rebuilds the view with one
-//     O(n log n) sort and one O(n) prefix pass — counted in regens();
+//   * the first read after any run of edits rebuilds the view once —
+//     counted in regens(): an O(n) check that the last finish order
+//     still holds, an O(n log n) sort only if it does not (membership
+//     changed, or an update reordered thresholds), one O(n) prefix pass;
 //   * reads on a current view: RemainingTime, CostOf, WeightOf and
-//     RemovalBenefit are O(log n) id lookups plus O(1) arithmetic,
+//     RemovalBenefit are id lookups plus O(1) arithmetic,
 //     QuiescentTime is O(1), Entries and EstimateAll are O(n).
 // RemainingTime and EstimateAll run the same dispatched sweep
 // (batch_kernel.h) over the same view, so a point query and its batch

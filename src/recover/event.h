@@ -4,7 +4,7 @@
 // given the same options, the same fault-injector seed, and the same
 // ordered sequence of *inputs* — session opens/closes, submissions,
 // control calls, admission flips, and clock advances — every estimator
-// window, treap, EWMA, and published snapshot is reproduced bit for
+// window, engine table, EWMA, and published snapshot is reproduced bit for
 // bit. That determinism is the recovery story's foundation: instead of
 // serializing megabytes of internal estimator state (and chasing every
 // new field forever), the journal records the input events and

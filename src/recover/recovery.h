@@ -4,7 +4,7 @@
 // fault injector), replay the recovered input history with the event
 // sink detached, then reattach the log and resume appends. Because the
 // stack is deterministic (see recover/event.h), replay reproduces the
-// pre-crash state exactly — estimator windows, treap shape, snapshot
+// pre-crash state exactly — estimator windows, engine table, snapshot
 // sequence numbers, everything — which the checkpoint's verification
 // trailer proves byte-for-byte at the checkpoint cut.
 //

@@ -10,7 +10,8 @@
 // read, with no simulation at all; this bench
 // measures ns/estimate for both paths in the one-estimate-per-quantum
 // regime, cross-checks that they agree, and writes
-// BENCH_incremental_forecast.json in the working directory.
+// BENCH_incremental_forecast.json in the working directory. The first
+// quantum's estimate (the resync read) is reported on its own.
 //
 // Modes:
 //   bench_incremental_forecast               full comparison at
@@ -76,7 +77,8 @@ std::unique_ptr<Fixture> MakeFixture(int n, bool incremental) {
 }
 
 struct RunResult {
-  double ns_per_estimate = 0.0;
+  double ns_per_estimate = 0.0;      // steady state
+  double first_ns = 0.0;             // the first quantum's estimate
   std::uint64_t simulations = 0;     // full analytic forecasts
   std::uint64_t fast_path = 0;       // engine-served estimates
   std::vector<double> estimates;     // one per quantum (cross-check)
@@ -87,8 +89,8 @@ struct RunResult {
 // the PI's per-step observation are the same for both paths. The
 // first quantum admits every query, a structural change: the engine
 // rebuilds and its first read sorts the finish-ordered view (the
-// simulator path simulates, as on every quantum). That quantum runs
-// untimed, so the average is the steady state's.
+// simulator path simulates, as on every quantum). That quantum is
+// timed on its own, so the average is the steady state's.
 RunResult Run(Fixture* fx, int quanta) {
   RunResult result;
   result.estimates.reserve(static_cast<std::size_t>(quanta));
@@ -102,7 +104,12 @@ RunResult Run(Fixture* fx, int quanta) {
     if (!info.ok()) std::exit(1);
     const std::int64_t start = bench::NowNs();
     auto eta = fx->pi->EstimateRemainingTime(*info);
-    if (q >= 0) total_ns += static_cast<double>(bench::NowNs() - start);
+    const auto elapsed = static_cast<double>(bench::NowNs() - start);
+    if (q >= 0) {
+      total_ns += elapsed;
+    } else {
+      result.first_ns = elapsed;
+    }
     if (!eta.ok()) {
       std::fprintf(stderr, "estimate failed: %s\n",
                    eta.status().ToString().c_str());
@@ -175,8 +182,9 @@ int main(int argc, char** argv) {
   bench::JsonReport report("incremental_forecast",
                            {{"unit", "ns_per_estimate"}});
 
-  std::printf("%8s %16s %16s %9s %12s %12s\n", "n", "simulator ns/est",
-              "incremental ns/e", "speedup", "sims", "fast path");
+  std::printf("%8s %16s %16s %9s %12s %12s %14s %14s\n", "n",
+              "simulator ns/est", "incremental ns/e", "speedup", "sims",
+              "fast path", "sim 1st ns", "incr 1st ns");
   bool ok = true;
   for (const Scale& scale : scales) {
     auto sim_fx = MakeFixture(scale.n, /*incremental=*/false);
@@ -201,14 +209,17 @@ int main(int argc, char** argv) {
     const double speedup =
         sim.ns_per_estimate /
         (inc.ns_per_estimate > 0.0 ? inc.ns_per_estimate : 1e-9);
-    std::printf("%8d %16.0f %16.0f %8.1fx %12llu %12llu\n", scale.n,
-                sim.ns_per_estimate, inc.ns_per_estimate, speedup,
+    std::printf("%8d %16.0f %16.0f %8.1fx %12llu %12llu %14.0f %14.0f\n",
+                scale.n, sim.ns_per_estimate, inc.ns_per_estimate, speedup,
                 static_cast<unsigned long long>(sim.simulations),
-                static_cast<unsigned long long>(inc.fast_path));
+                static_cast<unsigned long long>(inc.fast_path), sim.first_ns,
+                inc.first_ns);
     report.AddRow({{"n", scale.n},
                    {"simulator_ns", sim.ns_per_estimate},
                    {"incremental_ns", inc.ns_per_estimate},
-                   {"speedup", speedup}});
+                   {"speedup", speedup},
+                   {"simulator_first_ns", sim.first_ns},
+                   {"incremental_first_ns", inc.first_ns}});
     if (scale.n == 5000 && speedup < 20.0) {
       std::fprintf(stderr,
                    "FAIL: %.1fx speedup at n=5000 — the acceptance bar is "

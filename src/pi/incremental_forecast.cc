@@ -37,16 +37,8 @@ Status NotActive(const char* what, QueryId id) {
 }  // namespace
 
 std::size_t IncrementalForecast::Find(QueryId id) const {
-  if (ids_.empty() || id < ids_.front() || id > ids_.back()) return kAbsent;
-  // Distinct ascending ids put row k's id in [front + k, back - (n-1-k)],
-  // so only rows [lo, hi] can hold `id`: one row while ids are dense.
-  const std::size_t last = ids_.size() - 1;
-  const std::size_t hi = std::min<std::size_t>(id - ids_.front(), last);
-  const std::size_t lo = last - std::min<std::size_t>(ids_.back() - id, last);
-  const auto begin = ids_.begin() + static_cast<std::ptrdiff_t>(lo);
-  const auto end = ids_.begin() + static_cast<std::ptrdiff_t>(hi) + 1;
-  const auto it = std::lower_bound(begin, end, id);
-  if (it == end || *it != id) return kAbsent;
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (it == ids_.end() || *it != id) return kAbsent;
   return static_cast<std::size_t>(it - ids_.begin());
 }
 

@@ -26,10 +26,9 @@
 // (v, id) order, and each column row's rank in that order — answers
 // every read. Costs:
 //   * edits (Insert/Remove/Update) write the columns and mark the
-//     view dirty. Finding a row is a binary search over the rows its
-//     id range allows (one row while ids are dense); Remove, and an
-//     Insert below the largest id, shift the later rows (an Insert is
-//     an append in the usual ascending-id case);
+//     view dirty. Finding a row is a binary search of the id column;
+//     Remove, and an Insert below the largest id, shift the later rows
+//     (an Insert is an append in the usual ascending-id case);
 //   * progress (Advance) moves X only and leaves the view valid, O(1);
 //   * the first read after any run of edits rebuilds the view once —
 //     counted in regens(): an O(n) check that the last finish order
